@@ -57,7 +57,6 @@ from .fourier import (
     sup_error,
 )
 from .ztau import (
-    CONSTANTS,
     DELTA,
     DELTA_STAR,
     SQRT5,
@@ -66,10 +65,7 @@ from .ztau import (
     ArithmeticCapacityError,
     EmbeddedPair,
     QTau,
-    SchemeConstants,
     ZTau,
-    internal_phase,
-    phase,
     trace_pairing,
 )
 
@@ -79,7 +75,6 @@ __all__ = [
     "ApproxWindow",
     "Approximant",
     "ArithmeticCapacityError",
-    "CONSTANTS",
     "Coefficient",
     "DataPoint",
     "DataPointSet",
@@ -97,7 +92,6 @@ __all__ = [
     "QTau",
     "RefinementReps",
     "SQRT5",
-    "SchemeConstants",
     "Segment",
     "TAU",
     "TAU_STAR",
@@ -117,11 +111,9 @@ __all__ = [
     "enumerate_model_set",
     "error_estimate",
     "frequency_representatives",
-    "internal_phase",
     "interval_sign",
     "nearest_distance",
     "path_decomposition",
-    "phase",
     "point_sets_close",
     "refinement_reps",
     "strip_projection_oracle",

@@ -12,7 +12,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
@@ -20,7 +20,6 @@ from . import __version__
 from .cutproject import (
     AnyWindow,
     ApproxWindow,
-    Frequency,
     Window,
     enumerate_model_set,
     frequency_representatives,
@@ -44,7 +43,7 @@ from .fibonacci import (
 )
 from .fourier import (
     Approximant,
-    build_approximant,
+    Coefficient,
     coeff_exact,
     coeff_integral,
     coeff_sum,
@@ -75,6 +74,7 @@ REFERENCE_XS: list[float] = [
 _SUMMARY_WINDOWS = ((0.0, 15.0), (200.0, 215.0), (-115.0, -100.0))
 
 _FUNCTIONS = ("nearest", "interval")
+_ESTIMATORS = ("exact", "integral", "sum")
 
 
 @dataclass
@@ -182,6 +182,10 @@ def _resolve_path(cfg: RunConfig, default_passes: int | None = None) -> PathDeco
     return path_decomposition(passes=default_passes)
 
 
+def _path_extra(path: PathDecomposition) -> dict[str, object]:
+    return {"effective_range": _fmt(path.r), "segments": path.m}
+
+
 def _function(name: str, window: AnyWindow | None = None) -> LocalFunction:
     return nearest_distance(window) if name == "nearest" else interval_sign(window)
 
@@ -190,334 +194,161 @@ def _lift(name: str) -> TorusLift:
     return torus_lift(NEAREST if name == "nearest" else INTERVAL)
 
 
-def cmd_points(args: argparse.Namespace) -> None:
-    cfg = RunConfig("points", lo=args.lo, hi=args.hi, window=args.window)
-    cfg.validate()
-    window = parse_window(args.window)
-    if args.hi < args.lo:
+Report = tuple[dict[str, object], Sequence[str], list[Sequence[object]]]
+
+
+def _approximants(
+    estimators: Sequence[str],
+    n: int,
+    function: str,
+    path: PathDecomposition | None,
+    window: AnyWindow | None = None,
+) -> tuple[LocalFunction, list[Approximant]]:
+    """The local function and one coefficient pass per named estimator over
+    the n^2 frequency representatives."""
+    freqs = frequency_representatives(n)
+    f = _function(function, window)
+    aps = []
+    for estimator in estimators:
+        if estimator == "exact":
+            lift = _lift(function)
+            coeffs = [Coefficient(k, coeff_exact(k, lift)) for k in freqs]
+        elif estimator == "integral":
+            assert path is not None
+            coeffs = [Coefficient(k, coeff_integral(k, f, path.r)) for k in freqs]
+        else:
+            assert path is not None
+            data = data_points(n, path)
+            coeffs = [Coefficient(k, coeff_sum(k, f, data)) for k in freqs]
+        aps.append(Approximant(estimator, coeffs))
+    return f, aps
+
+
+def cmd_points(cfg: RunConfig) -> Report:
+    window = parse_window(cfg.window)
+    if cfg.hi < cfg.lo:
         raise ValueError("need --lo <= --hi")
-    sl = enumerate_model_set(window, args.lo, args.hi)
+    sl = enumerate_model_set(window, cfg.lo, cfg.hi)
     rows = [
         (p.algebraic.a, p.algebraic.b, _fmt(p.value), _fmt(p.algebraic.conj().embed().x), p.tile)
         for p in sl.points
     ]
-    with _open_out(args.out) as out:
-        _write_report(out, cfg, {"count": len(rows)}, ("a", "b", "x", "x_star", "tile"), rows)
+    return {"count": len(rows)}, ("a", "b", "x", "x_star", "tile"), rows
 
 
-def cmd_data_points(args: argparse.Namespace) -> None:
-    cfg = RunConfig("data-points", n=args.n, passes=args.passes, range_r=args.range_r)
-    cfg.validate()
+def cmd_data_points(cfg: RunConfig) -> Report:
     path = _resolve_path(cfg)
-    data = data_points(args.n, path)
+    data = data_points(cfg.n, path)
     rows = [
-        (
-            j,
-            _fmt(p.u),
-            str(p.s.a),
-            str(p.s.b),
-            p.translate.a,
-            p.translate.b,
-            _fmt(p.residual),
-        )
+        (j, _fmt(p.u), str(p.s.a), str(p.s.b), p.translate.a, p.translate.b, _fmt(p.residual))
         for j, p in enumerate(data.points)
     ]
-    extra = {"effective_range": _fmt(path.r), "segments": path.m}
-    with _open_out(args.out) as out:
-        _write_report(
-            out,
-            cfg,
-            extra,
-            ("j", "u", "s_a", "s_b", "t_a", "t_b", "internal_residual"),
-            rows,
-        )
+    columns = ("j", "u", "s_a", "s_b", "t_a", "t_b", "internal_residual")
+    return _path_extra(path), columns, rows
 
 
-def cmd_frequencies(args: argparse.Namespace) -> None:
-    cfg = RunConfig("frequencies", n=args.n)
-    cfg.validate()
-    freqs = frequency_representatives(args.n)
+def cmd_frequencies(cfg: RunConfig) -> Report:
     rows = [
-        (k.half_a, k.half_b, _fmt(k.value), _fmt(k.value_star)) for k in freqs
+        (k.half_a, k.half_b, _fmt(k.value), _fmt(k.value_star))
+        for k in frequency_representatives(cfg.n)
     ]
-    with _open_out(args.out) as out:
-        _write_report(
-            out, cfg, {"count": len(rows)}, ("half_a", "half_b", "k_value", "k_star"), rows
-        )
+    return {"count": len(rows)}, ("half_a", "half_b", "k_value", "k_star"), rows
 
 
-def _coefficient_rows(
-    estimators: Sequence[str],
-    freqs,
-    function: str,
-    window: AnyWindow,
-    window_is_default: bool,
-    path: PathDecomposition | None,
-):
-    rows = []
-    f = _function(function, window)
-    for estimator in estimators:
-        if estimator == "exact":
-            if not window_is_default:
-                raise ValueError("the exact estimator supports the default window only")
-            lift = _lift(function)
-            values = [(k, coeff_exact(k, lift)) for k in freqs]
-        elif estimator == "integral":
-            assert path is not None
-            values = [(k, coeff_integral(k, f, path.r)) for k in freqs]
-        else:
-            assert path is not None
-            data = data_points(freqs.n, path)
-            values = [(k, coeff_sum(k, f, data)) for k in freqs]
-        for k, v in values:
-            rows.append(
-                (k.half_a, k.half_b, _fmt(k.value), _fmt(v.real), _fmt(v.imag), estimator)
-            )
-    return rows
-
-
-def cmd_coeffs(args: argparse.Namespace) -> None:
-    cfg = RunConfig(
-        "coeffs",
-        n=args.n,
-        passes=args.passes,
-        range_r=args.range_r,
-        function=args.function,
-        window=args.window,
-        estimator=args.estimator,
-    )
-    cfg.validate()
-    estimators = [args.estimator] if args.estimator != "all" else ["exact", "integral", "sum"]
+def cmd_coeffs(cfg: RunConfig) -> Report:
+    estimators = [cfg.estimator] if cfg.estimator != "all" else list(_ESTIMATORS)
     needs_path = any(e in ("integral", "sum") for e in estimators)
     path = _resolve_path(cfg) if needs_path else None
-    window = parse_window(args.window)
-    freqs = frequency_representatives(args.n)
-    rows = _coefficient_rows(
-        estimators, freqs, args.function, window, args.window == "default", path
-    )
+    window = parse_window(cfg.window)
+    if "exact" in estimators and cfg.window != "default":
+        raise ValueError("the exact estimator supports the default window only")
+    _, aps = _approximants(estimators, cfg.n, cfg.function, path, window)
+    rows = [
+        (c.k.half_a, c.k.half_b, _fmt(c.k.value), _fmt(c.value.real), _fmt(c.value.imag), ap.kind)
+        for ap in aps
+        for c in ap.coeffs
+    ]
     extra: dict[str, object] = {"count": len(rows)}
     if path is not None:
-        extra["effective_range"] = _fmt(path.r)
-        extra["segments"] = path.m
-    with _open_out(args.out) as out:
-        _write_report(
-            out,
-            cfg,
-            extra,
-            ("half_a", "half_b", "k_value", "re", "im", "estimator"),
-            rows,
-        )
+        extra.update(_path_extra(path))
+    return extra, ("half_a", "half_b", "k_value", "re", "im", "estimator"), rows
 
 
-def _coeff_table(args: argparse.Namespace, command: str, function: str) -> None:
-    cfg = RunConfig(
-        command, n=args.n, passes=args.passes, range_r=args.range_r, function=function
-    )
-    cfg.validate()
+def cmd_coeff_table(cfg: RunConfig) -> Report:
+    """Tables 1 and 3: every estimator's coefficient side by side."""
     path = _resolve_path(cfg)
-    freqs = frequency_representatives(args.n)
-    lift = _lift(function)
-    f = _function(function)
-    data = data_points(args.n, path)
-    rows = []
-    for k in freqs:
-        ce = coeff_exact(k, lift)
-        ci = coeff_integral(k, f, path.r)
-        cs = coeff_sum(k, f, data)
-        rows.append(
-            (
-                k.label,
-                _fmt(ce.real),
-                _fmt(ce.imag),
-                _fmt(ci.real),
-                _fmt(ci.imag),
-                _fmt(cs.real),
-                _fmt(cs.imag),
-            )
-        )
-    extra = {"effective_range": _fmt(path.r), "segments": path.m}
-    with _open_out(args.out) as out:
-        _write_report(
-            out,
-            cfg,
-            extra,
-            ("k", "exact_re", "exact_im", "int_re", "int_im", "sum_re", "sum_im"),
-            rows,
-        )
+    _, aps = _approximants(_ESTIMATORS, cfg.n, cfg.function, path)
+    rows = [
+        (cs[0].k.label, *(_fmt(x) for c in cs for x in (c.value.real, c.value.imag)))
+        for cs in zip(*(ap.coeffs for ap in aps))
+    ]
+    columns = ("k", "exact_re", "exact_im", "int_re", "int_im", "sum_re", "sum_im")
+    return _path_extra(path), columns, rows
 
 
-def cmd_table1(args: argparse.Namespace) -> None:
-    _coeff_table(args, "table1", "nearest")
-
-
-def cmd_table3(args: argparse.Namespace) -> None:
-    _coeff_table(args, "table3", "interval")
-
-
-def _estimator_bundle(
-    function: str, n: int, path: PathDecomposition, cosine_n: int, conventional: bool
-) -> tuple[LocalFunction, Approximant, Approximant, Approximant, Approximant]:
-    f = _function(function)
-    freqs = frequency_representatives(n)
-    ap_exact = build_approximant("exact", freqs, lift=_lift(function))
-    ap_int = build_approximant("integral", freqs, f=f, r=path.r)
-    ap_sum = build_approximant("sum", freqs, f=f, data=data_points(n, path))
-    ap_cos = cos_baseline(f, cosine_n, conventional)
-    return f, ap_exact, ap_int, ap_sum, ap_cos
-
-
-def _value_rows(
-    xs: Iterable[float],
-    f: LocalFunction,
-    aps: Sequence[Approximant],
-) -> list[tuple[str, ...]]:
-    rows = []
-    for x in xs:
-        rows.append(
-            (_fmt(x), _fmt(f(x)), *(_fmt(ap.evaluate(x)) for ap in aps))
-        )
-    return rows
-
-
-def _value_table(args: argparse.Namespace, command: str, function: str) -> None:
-    cfg = RunConfig(
-        command,
-        n=args.n,
-        passes=args.passes,
-        range_r=args.range_r,
-        function=function,
-        cosine_n=args.cosine_n,
-        cosine_dc_halved=args.cosine_dc_halved or None,
-    )
-    cfg.validate()
+def cmd_values(cfg: RunConfig) -> Report:
+    """Tables 2 and 4 at the reference positions; with a grid, the compare
+    report with sup errors over the summary windows."""
+    if cfg.grid is not None:
+        lo, hi, count = parse_grid(cfg.grid)
+        step = (hi - lo) / (count - 1)
+        xs: Iterable[float] = (lo + i * step for i in range(count))
+    else:
+        xs = REFERENCE_XS
     path = _resolve_path(cfg)
-    f, *aps = _estimator_bundle(function, args.n, path, args.cosine_n, args.cosine_dc_halved)
-    rows = _value_rows(REFERENCE_XS, f, aps)
-    extra = {"effective_range": _fmt(path.r), "segments": path.m}
-    with _open_out(args.out) as out:
-        _write_report(
-            out, cfg, extra, ("x", "f", "f_exact", "f_int", "f_sum", "f_cos"), rows
-        )
+    f, aps = _approximants(_ESTIMATORS, cfg.n, cfg.function, path)
+    aps.append(cos_baseline(f, cfg.cosine_n, bool(cfg.cosine_dc_halved)))
+    rows = [(_fmt(x), _fmt(f(x)), *(_fmt(ap.evaluate(x)) for ap in aps)) for x in xs]
+    extra = _path_extra(path)
+    if cfg.grid is not None:
+        for w_lo, w_hi in _SUMMARY_WINDOWS:
+            for name, ap in zip(("exact", "integral", "sum", "cosine"), aps):
+                key = f"sup_error_{name}_[{_fmt(w_lo)},{_fmt(w_hi)}]"
+                extra[key] = _fmt(sup_error(ap, f, w_lo, w_hi, samples=1000))
+    return extra, ("x", "f", "f_exact", "f_int", "f_sum", "f_cos"), rows
 
 
-def cmd_table2(args: argparse.Namespace) -> None:
-    _value_table(args, "table2", "nearest")
-
-
-def cmd_table4(args: argparse.Namespace) -> None:
-    _value_table(args, "table4", "interval")
-
-
-def cmd_compare(args: argparse.Namespace) -> None:
-    cfg = RunConfig(
-        "compare",
-        n=args.n,
-        passes=args.passes,
-        range_r=args.range_r,
-        function=args.function,
-        cosine_n=args.cosine_n,
-        cosine_dc_halved=args.cosine_dc_halved or None,
-        grid=args.grid,
-    )
-    cfg.validate()
-    lo, hi, count = parse_grid(args.grid)
-    path = _resolve_path(cfg)
-    f, *aps = _estimator_bundle(
-        args.function, args.n, path, args.cosine_n, args.cosine_dc_halved
-    )
-    step = (hi - lo) / (count - 1)
-    rows = _value_rows((lo + i * step for i in range(count)), f, aps)
-    extra: dict[str, object] = {"effective_range": _fmt(path.r), "segments": path.m}
-    names = ("exact", "integral", "sum", "cosine")
-    for (w_lo, w_hi) in _SUMMARY_WINDOWS:
-        for name, ap in zip(names, aps):
-            key = f"sup_error_{name}_[{_fmt(w_lo)},{_fmt(w_hi)}]"
-            extra[key] = _fmt(sup_error(ap, f, w_lo, w_hi, samples=1000))
-    with _open_out(args.out) as out:
-        _write_report(
-            out, cfg, extra, ("x", "f", "f_exact", "f_int", "f_sum", "f_cos"), rows
-        )
-
-
-def cmd_singularity(args: argparse.Namespace) -> None:
-    cfg = RunConfig(
-        "singularity",
-        n=args.n,
-        passes=args.passes,
-        range_r=args.range_r,
-        samples=args.samples,
-    )
-    cfg.validate()
+def cmd_singularity(cfg: RunConfig) -> Report:
     path = _resolve_path(cfg, default_passes=27)
-    freqs = frequency_representatives(args.n)
-    data = data_points(args.n, path)
     lo, hi = -TAU * TAU, 0.0
-    rows = []
     errors = {}
-    for name, window in (
-        ("default", Window.default()),
-        ("shifted", Window.default().shifted(QTau(Fraction(1, 2)))),
-    ):
-        f = nearest_distance(window)
-        ap = build_approximant("sum", freqs, f=f, data=data)
-        err = sup_error(ap, f, lo, hi, samples=args.samples)
-        errors[name] = err
-        rows.append((name, _fmt(err)))
+    for name in ("default", "shifted"):
+        f, (ap,) = _approximants(("sum",), cfg.n, "nearest", path, parse_window(name))
+        errors[name] = sup_error(ap, f, lo, hi, samples=cfg.samples)
     extra = {
-        "effective_range": _fmt(path.r),
-        "segments": path.m,
+        **_path_extra(path),
         "interval": f"[{_fmt(lo)},{_fmt(hi)}]",
         "improvement": _fmt(errors["default"] / errors["shifted"]),
     }
-    with _open_out(args.out) as out:
-        _write_report(out, cfg, extra, ("window", "sup_error"), rows)
+    return extra, ("window", "sup_error"), [(name, _fmt(e)) for name, e in errors.items()]
 
 
-def cmd_error_bound(args: argparse.Namespace) -> None:
-    cfg = RunConfig(
-        "error-bound",
-        n=args.n,
-        passes=args.passes,
-        range_r=args.range_r,
-        function=args.function,
-    )
-    cfg.validate()
+def cmd_error_bound(cfg: RunConfig) -> Report:
     path = _resolve_path(cfg, default_passes=17)
-    lift = _lift(args.function)
-    f = _function(args.function)
-    est = error_estimate(lift, args.n, path)
+    lift = _lift(cfg.function)
+    est = error_estimate(lift, cfg.n, path)
     exact = lift.cell_integral()
-    cell_err = abs(exact - cell_quadrature(lift, args.n))
-    pipe_err = abs(exact - data_quadrature(f, data_points(args.n, path)))
-
-    rows = [
-        (
-            _fmt(est.eps_n),
-            _fmt(est.eps_n_prime),
-            _fmt(est.bound),
-            _fmt(cell_err),
-            _fmt(pipe_err),
-            cell_err <= SQRT5 * est.eps_n,
-            pipe_err < est.bound,
-        )
-    ]
-    extra = {"effective_range": _fmt(path.r), "segments": path.m, "cell_integral": _fmt(exact)}
-    with _open_out(args.out) as out:
-        _write_report(
-            out,
-            cfg,
-            extra,
-            (
-                "eps_n",
-                "eps_n_prime",
-                "bound",
-                "cell_error",
-                "pipeline_error",
-                "cell_within_bound",
-                "pipeline_within_bound",
-            ),
-            rows,
-        )
+    cell_err = abs(exact - cell_quadrature(lift, cfg.n))
+    pipe_err = abs(exact - data_quadrature(_function(cfg.function), data_points(cfg.n, path)))
+    row = (
+        _fmt(est.eps_n),
+        _fmt(est.eps_n_prime),
+        _fmt(est.bound),
+        _fmt(cell_err),
+        _fmt(pipe_err),
+        cell_err <= SQRT5 * est.eps_n,
+        pipe_err < est.bound,
+    )
+    columns = (
+        "eps_n",
+        "eps_n_prime",
+        "bound",
+        "cell_error",
+        "pipeline_error",
+        "cell_within_bound",
+        "pipeline_within_bound",
+    )
+    return {**_path_extra(path), "cell_integral": _fmt(exact)}, columns, [row]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -535,6 +366,16 @@ def _add_path_flags(p: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         help="path length; truncated down to the last complete pass",
+    )
+
+
+def _add_cosine_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--cosine-n", type=int, default=50)
+    p.add_argument(
+        "--cosine-dc-halved",
+        action="store_true",
+        default=None,
+        help="conventional cosine-series weights (harmonics doubled)",
     )
 
 
@@ -563,53 +404,40 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", help="coefficient estimates")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--function", choices=_FUNCTIONS, default="nearest")
-    p.add_argument(
-        "--estimator", choices=("exact", "integral", "sum", "all"), default="exact"
-    )
+    p.add_argument("--estimator", choices=(*_ESTIMATORS, "all"), default="exact")
     p.add_argument("--window", default="default")
     _add_path_flags(p)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_coeffs)
 
-    for name, func, dn, dr in (
-        ("table1", cmd_table1, 3, 21.64),
-        ("table3", cmd_table3, 7, 23.30),
+    for name, function, dn, dr in (
+        ("table1", "nearest", 3, 21.64),
+        ("table3", "interval", 7, 23.30),
+        ("table2", "nearest", 3, 21.64),
+        ("table4", "interval", 7, 23.30),
     ):
-        p = sub.add_parser(name, help="coefficient comparison table")
-        p.add_argument("--n", type=int, default=dn)
-        _add_path_flags(p)
-        p.set_defaults(func=func, default_range=dr)
-        p.add_argument("--out", default="-")
-
-    for name, func, dn, dr in (
-        ("table2", cmd_table2, 3, 21.64),
-        ("table4", cmd_table4, 7, 23.30),
-    ):
-        p = sub.add_parser(name, help="function value comparison table")
-        p.add_argument("--n", type=int, default=dn)
-        _add_path_flags(p)
-        p.add_argument("--cosine-n", type=int, default=50)
-        p.add_argument(
-            "--cosine-dc-halved",
-            action="store_true",
-            help="conventional cosine-series weights (harmonics doubled)",
+        values = name in ("table2", "table4")
+        p = sub.add_parser(
+            name,
+            help="function value comparison table" if values else "coefficient comparison table",
         )
-        p.set_defaults(func=func, default_range=dr)
+        p.add_argument("--n", type=int, default=dn)
+        _add_path_flags(p)
+        if values:
+            _add_cosine_flags(p)
+        p.set_defaults(
+            func=cmd_values if values else cmd_coeff_table, function=function, default_range=dr
+        )
         p.add_argument("--out", default="-")
 
     p = sub.add_parser("compare", help="grid comparison of all estimators")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--function", choices=_FUNCTIONS, default="nearest")
     _add_path_flags(p)
-    p.add_argument("--cosine-n", type=int, default=50)
-    p.add_argument(
-        "--cosine-dc-halved",
-        action="store_true",
-        help="conventional cosine-series weights (harmonics doubled)",
-    )
+    _add_cosine_flags(p)
     p.add_argument("--grid", default="0:15:600", help="LO:HI:COUNT")
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_compare, default_range=21.64)
+    p.set_defaults(func=cmd_values, default_range=21.64)
 
     p = sub.add_parser("singularity", help="sum estimator on both windows")
     p.add_argument("--n", type=int, default=9)
@@ -634,15 +462,16 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "default_range", None) is not None:
         if args.passes is None and args.range_r is None:
             args.range_r = args.default_range
+    cfg = RunConfig(**{f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
     try:
-        args.func(args)
+        cfg.validate()
+        extra, columns, rows = args.func(cfg)
+        with _open_out(args.out) as out:
+            _write_report(out, cfg, extra, columns, rows)
     except ArithmeticCapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

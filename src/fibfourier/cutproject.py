@@ -69,10 +69,6 @@ class Window:
     def shifted(self, offset: QTau) -> Window:
         return Window(self.lo + offset, self.hi + offset, self.includes_lo, self.includes_hi)
 
-    @property
-    def exact(self) -> bool:
-        return True
-
     def bounds_float(self) -> tuple[float, float]:
         return self.lo.embed().x, self.hi.embed().x
 
@@ -135,10 +131,6 @@ class ApproxWindow:
         self.includes_lo = includes_lo
         self.includes_hi = includes_hi
         self.tol = tol
-
-    @property
-    def exact(self) -> bool:
-        return False
 
     def bounds_float(self) -> tuple[float, float]:
         return self.lo, self.hi

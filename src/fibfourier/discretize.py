@@ -89,6 +89,14 @@ class PathDecomposition:
     def heights(self) -> list[float]:
         return [seg.height for seg in self.segments]
 
+    @cached_property
+    def strips(self) -> tuple[list[Segment], list[float]]:
+        """Segments sorted by height and the edges of their horizontal
+        strips: tau', the midpoints between consecutive heights, then 1."""
+        order = sorted(self.segments, key=lambda seg: seg.height)
+        b = [seg.height for seg in order]
+        return order, [TAU_STAR, *(0.5 * (lo + hi) for lo, hi in zip(b, b[1:])), 1.0]
+
 
 def _crossings(limit_count: int | None, limit_r: float | None):
     iu, iv = 1, 1
@@ -207,12 +215,7 @@ def strip_projection_oracle(n: int, path: PathDecomposition) -> DataPointSet:
     unique segment running through its strip.  A representative exactly on a
     strip boundary joins the strip below it.
     """
-    order = sorted(path.segments, key=lambda seg: seg.height)
-    b = [seg.height for seg in order]
-    c = [TAU_STAR]
-    for i in range(len(b) - 1):
-        c.append(0.5 * (b[i] + b[i + 1]))
-    c.append(1.0)
+    order, c = path.strips
     picks = []
     for rep in refinement_reps(n).reps:
         idx = bisect_left(c, rep.value_star)
@@ -289,17 +292,10 @@ def error_estimate(
             eps_n = max(eps_n, mx - mn)
 
     # per-strip vertical oscillation
-    order = sorted(path.segments, key=lambda seg: seg.height)
-    b = [seg.height for seg in order]
-    c = [TAU_STAR]
-    for i in range(len(b) - 1):
-        c.append(0.5 * (b[i] + b[i + 1]))
-    c.append(1.0)
+    _, edges = path.strips
     eps_p = 0.0
     shrink = 1e-9
-    for k in range(len(order)):
-        y0 = c[k]
-        y1 = c[k + 1]
+    for y0, y1 in zip(edges, edges[1:]):
         for ix in range(strip_x_samples):
             x = (ix + 0.5) / strip_x_samples * (1.0 + TAU)
             ch_lo, ch_hi = _cell_chord(x)

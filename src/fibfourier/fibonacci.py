@@ -17,8 +17,7 @@ lift reproduces the local function.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
 from typing import Callable, Sequence
 
 from .cutproject import (
@@ -35,7 +34,6 @@ INV_TAU2 = 1.0 / (TAU * TAU)
 
 NEAREST = "nearest_distance"
 INTERVAL = "interval_sign"
-_DESCRIPTORS = (NEAREST, INTERVAL)
 
 
 def substitution_word(count: int) -> str:
@@ -83,100 +81,82 @@ class PointContext:
             self._slice = enumerate_model_set(self.window, new_lo, new_hi)
         return self._slice
 
-    def bracket(self, t: float) -> tuple[ModelPoint, ModelPoint]:
-        """The tile around t: (start point p <= t, end point q > t)."""
-        s = self.ensure(t - self.pad / 2, t + self.pad / 2)
-        i = bisect_right(s.values, t)
-        if i <= 0 or i >= len(s.points):
-            raise RuntimeError("context coverage too small")
-        return s.points[i - 1], s.points[i]
-
-    def tiles(self, lo: float, hi: float) -> list[tuple[ModelPoint, ModelPoint]]:
-        """Consecutive point pairs whose tiles intersect [lo, hi]."""
-        s = self.ensure(lo - self.pad / 2, hi + self.pad / 2)
-        i = bisect_right(s.values, lo)
-        if i <= 0:
-            raise RuntimeError("context coverage too small")
-        out = []
-        j = i - 1
-        while j + 1 < len(s.points) and s.points[j].value < hi:
-            out.append((s.points[j], s.points[j + 1]))
-            j += 1
-        if s.points[j].value < hi:
-            raise RuntimeError("context coverage too small")
-        return out
-
 
 LinearPiece = tuple[float, float, float, float]  # (x0, x1, const, slope)
+#: the pieces of a local function on one tile [p, q)
+TileRule = Callable[[ModelPoint, ModelPoint], list[LinearPiece]]
 
 
-@dataclass
 class LocalFunction:
-    """A bounded function of the local tile pattern, piecewise linear."""
+    """A bounded function of the local tile pattern, piecewise linear.
 
-    descriptor: str
-    context: PointContext | None
-    evaluate: Callable[[float], float]
+    The tile rule is the single definition of the function.  Its pieces over
+    the context's current slice form a contiguous piece table, rebuilt only
+    when the context re-enumerates; point values and piece lists both read
+    that table.
+    """
+
+    def __init__(self, rule: TileRule, window: AnyWindow | None = None) -> None:
+        self.rule = rule
+        self.context = PointContext(window)
+        self._slice: ModelSetSlice | None = None
+        self._pieces: list[LinearPiece] = []
+        self._starts: list[float] = []
+
+    def _table(self, lo: float, hi: float) -> tuple[list[LinearPiece], list[float]]:
+        pad = self.context.pad / 2
+        s = self.context.ensure(lo - pad, hi + pad)
+        if s is not self._slice:
+            pts = s.points
+            self._pieces = [piece for p, q in zip(pts, pts[1:]) for piece in self.rule(p, q)]
+            self._starts = [piece[0] for piece in self._pieces]
+            self._slice = s
+        return self._pieces, self._starts
 
     def __call__(self, t: float) -> float:
-        return self.evaluate(t)
+        pieces, starts = self._table(t, t)
+        i = bisect_right(starts, t) - 1
+        if i < 0 or t >= pieces[i][1]:
+            raise RuntimeError("context coverage too small")
+        _, _, c, m = pieces[i]
+        return c + m * t
 
     def linear_pieces(self, lo: float, hi: float) -> list[LinearPiece]:
         """Cover [lo, hi] by pieces (x0, x1, c, m) with f(x) = c + m*x."""
         if not lo < hi:
             raise ValueError("need lo < hi")
-        if self.descriptor == NEAREST:
-            assert self.context is not None
-            pieces = []
-            for p, q in self.context.tiles(lo, hi):
-                mid = 0.5 * (p.value + q.value)
-                x0, x1 = max(p.value, lo), min(mid, hi)
-                if x0 < x1:
-                    pieces.append((x0, x1, -p.value, 1.0))
-                x0, x1 = max(mid, lo), min(q.value, hi)
-                if x0 < x1:
-                    pieces.append((x0, x1, q.value, -1.0))
-            return pieces
-        if self.descriptor == INTERVAL:
-            assert self.context is not None
-            pieces = []
-            for p, q in self.context.tiles(lo, hi):
-                x0, x1 = max(p.value, lo), min(q.value, hi)
-                if x0 < x1:
-                    sign = 1.0 if p.tile == "long" else -1.0
-                    pieces.append((x0, x1, sign, 0.0))
-            return pieces
-        raise ValueError(f"no piecewise form for descriptor {self.descriptor!r}")
+        pieces, starts = self._table(lo, hi)
+        i = bisect_right(starts, lo) - 1
+        j = bisect_left(starts, hi)
+        if i < 0 or pieces[j - 1][1] < hi:
+            raise RuntimeError("context coverage too small")
+        out = pieces[i:j]
+        x0, x1, c, m = out[0]
+        out[0] = (max(x0, lo), x1, c, m)
+        x0, x1, c, m = out[-1]
+        out[-1] = (x0, min(x1, hi), c, m)
+        return out
+
+
+def _tent(p: ModelPoint, q: ModelPoint) -> list[LinearPiece]:
+    mid = 0.5 * (p.value + q.value)
+    return [(p.value, mid, -p.value, 1.0), (mid, q.value, q.value, -1.0)]
+
+
+def _step(p: ModelPoint, q: ModelPoint) -> list[LinearPiece]:
+    return [(p.value, q.value, 1.0 if p.tile == "long" else -1.0, 0.0)]
 
 
 def nearest_distance(window: AnyWindow | None = None) -> LocalFunction:
-    ctx = PointContext(window)
-
-    def evaluate(t: float) -> float:
-        p, q = ctx.bracket(t)
-        return min(t - p.value, q.value - t)
-
-    return LocalFunction(NEAREST, ctx, evaluate)
+    return LocalFunction(_tent, window)
 
 
 def interval_sign(window: AnyWindow | None = None) -> LocalFunction:
-    ctx = PointContext(window)
-
-    def evaluate(t: float) -> float:
-        p, _ = ctx.bracket(t)
-        return 1.0 if p.tile == "long" else -1.0
-
-    return LocalFunction(INTERVAL, ctx, evaluate)
+    return LocalFunction(_step, window)
 
 
-def constant(c: float) -> LocalFunction:
-    fn = LocalFunction("user", None, lambda t: c)
-
-    def pieces(lo: float, hi: float) -> list[LinearPiece]:
-        return [(lo, hi, c, 0.0)]
-
-    fn.linear_pieces = pieces  # type: ignore[method-assign]
-    return fn
+def constant(c: float, window: AnyWindow | None = None) -> LocalFunction:
+    return LocalFunction(lambda p, q: [(p.value, q.value, c, 0.0)], window)
 
 
 # chart shifts tried when folding a fundamental-cell point into the
@@ -195,24 +175,35 @@ def _in_long_rect(x: float, y: float) -> bool:
 
 
 class TorusLift:
-    """Periodic lift of a local function, supported on two rectangles."""
+    """Periodic lift of a local function, supported on two rectangles.
+
+    `short` and `long` give the value at chart abscissa x on the short- and
+    long-tile rectangle; `integral` is the integral over the fundamental
+    cell (unnormalized).
+    """
 
     #: (x0, x1, y0, y1) of the supporting rectangles in the chart
     SHORT_RECT = (-1.0, 0.0, -INV_TAU, 0.0)
     LONG_RECT = (0.0, TAU, -INV_TAU, INV_TAU2)
 
-    def __init__(self, descriptor: str, fn: Callable[[float, float], float] | None = None):
-        if descriptor not in _DESCRIPTORS and fn is None:
-            raise ValueError(f"unknown lift descriptor {descriptor!r}")
+    def __init__(
+        self,
+        descriptor: str,
+        short: Callable[[float], float],
+        long: Callable[[float], float],
+        integral: float,
+    ) -> None:
         self.descriptor = descriptor
-        self._fn = fn
-        self._constant: float | None = None
+        self.short = short
+        self.long = long
+        self.integral = integral
 
     @classmethod
     def constant(cls, c: float) -> TorusLift:
-        lift = cls("user", lambda x, y: c)
-        lift._constant = c
-        return lift
+        def value(x: float) -> float:
+            return c
+
+        return cls("user", value, value, c * SQRT5)  # cell area is sqrt5
 
     @property
     def rectangles(self) -> tuple[tuple[float, float, float, float], ...]:
@@ -220,29 +211,19 @@ class TorusLift:
 
     def evaluate_cell(self, x: float, y: float) -> float:
         """Value at chart coordinates; raises outside the two rectangles."""
-        if self._fn is not None:
-            return self._fn(x, y)
         if _in_short_rect(x, y):
-            in_short = True
-        elif _in_long_rect(x, y):
-            in_short = False
+            return self.short(x)
+        if _in_long_rect(x, y):
+            return self.long(x)
         # closed-boundary fallback so corner samples stay evaluable
-        elif -1.0 <= x <= 0.0 and -INV_TAU <= y <= 0.0:
-            in_short = True
-        elif 0.0 <= x <= TAU and -INV_TAU <= y <= INV_TAU2:
-            in_short = False
-        else:
-            raise ValueError(f"({x}, {y}) outside the support rectangles")
-        if self.descriptor == NEAREST:
-            if in_short:
-                return 0.5 - abs(x + 0.5)
-            return TAU / 2.0 - abs(x - TAU / 2.0)
-        return -1.0 if in_short else 1.0
+        if -1.0 <= x <= 0.0 and -INV_TAU <= y <= 0.0:
+            return self.short(x)
+        if 0.0 <= x <= TAU and -INV_TAU <= y <= INV_TAU2:
+            return self.long(x)
+        raise ValueError(f"({x}, {y}) outside the support rectangles")
 
     def evaluate_torus(self, x: float, y: float) -> float:
         """Value at any plane point, reduced modulo the scheme lattice."""
-        if self._fn is not None:
-            return self._fn(x, y)
         v = (x - y) / SQRT5
         u = x - v * TAU
         u -= math.floor(u)
@@ -252,8 +233,10 @@ class TorusLift:
         for m, n in _CHART_SHIFTS:
             xx = xc - (m + n * TAU)
             yy = yc - (m + n * TAU_STAR)
-            if _in_short_rect(xx, yy) or _in_long_rect(xx, yy):
-                return self.evaluate_cell(xx, yy)
+            if _in_short_rect(xx, yy):
+                return self.short(xx)
+            if _in_long_rect(xx, yy):
+                return self.long(xx)
         # a rounded coordinate can graze an open edge and fall out of every
         # copy; retry with a tolerance ring and clamp onto the matched seam
         for m, n in _CHART_SHIFTS:
@@ -270,19 +253,26 @@ class TorusLift:
 
     def cell_integral(self) -> float:
         """Integral over the fundamental cell (unnormalized)."""
-        if self.descriptor == NEAREST:
-            # tent areas: (1/4)*height(1/tau) on the short rectangle,
-            # (tau^2/4)*height(1) on the long one
-            return 0.25 * INV_TAU + 0.25 * TAU * TAU
-        if self.descriptor == INTERVAL:
-            return -1.0 * INV_TAU + TAU
-        if self._constant is not None:
-            return self._constant * SQRT5  # cell area is sqrt5
-        raise ValueError("no closed-form cell integral for user lifts")
+        return self.integral
+
+
+#: descriptor -> (short-rectangle value, long-rectangle value, cell integral)
+_LIFTS: dict[str, tuple[Callable[[float], float], Callable[[float], float], float]] = {
+    # tents peaking at half the tile length; their areas are (1/4)*height(1/tau)
+    # on the short rectangle and (tau^2/4)*height(1) on the long one
+    NEAREST: (
+        lambda x: 0.5 - abs(x + 0.5),
+        lambda x: TAU / 2.0 - abs(x - TAU / 2.0),
+        0.25 * INV_TAU + 0.25 * TAU * TAU,
+    ),
+    INTERVAL: (lambda x: -1.0, lambda x: 1.0, TAU - INV_TAU),
+}
 
 
 def torus_lift(descriptor: str) -> TorusLift:
-    return TorusLift(descriptor)
+    if descriptor not in _LIFTS:
+        raise ValueError(f"unknown lift descriptor {descriptor!r}")
+    return TorusLift(descriptor, *_LIFTS[descriptor])
 
 
 def point_sets_close(

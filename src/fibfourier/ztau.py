@@ -9,7 +9,6 @@ integer comparisons, never to floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
@@ -29,18 +28,6 @@ class ArithmeticCapacityError(ArithmeticError):
 class EmbeddedPair(NamedTuple):
     x: float
     x_star: float
-
-
-@dataclass(frozen=True)
-class SchemeConstants:
-    tau: float = TAU
-    tau_star: float = TAU_STAR
-    sqrt5: float = SQRT5
-    delta: float = DELTA
-    delta_star: float = DELTA_STAR
-
-
-CONSTANTS = SchemeConstants()
 
 
 def _sign_root5(u: int, v: int) -> int:
@@ -242,12 +229,3 @@ def trace_pairing(k: QTau | ZTau, x: QTau | ZTau) -> Fraction:
     p = QTau._coerce(k) * QTau._coerce(x)
     return 2 * p.a
 
-
-def phase(k: QTau | ZTau, t: float) -> float:
-    """Pairing of the dual point (k, k') with (t, 0): 2*DELTA*k*t."""
-    return 2.0 * DELTA * k.embed().x * t
-
-
-def internal_phase(k: QTau | ZTau, u: float) -> float:
-    """Pairing of the dual point (k, k') with (0, u): 2*DELTA_STAR*k'*u."""
-    return 2.0 * DELTA_STAR * k.embed().x_star * u

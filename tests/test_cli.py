@@ -162,6 +162,29 @@ def test_deterministic_output_files(tmp_path, capsys):
     assert b1.startswith(f"# fibfourier {__version__}\n".encode())
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["points", "--lo", "0", "--hi", "5", "--window", "x"],
+         "window must be 'default', 'shifted', or LO:HI"),
+        (["points", "--lo", "5", "--hi", "0"], "need --lo <= --hi"),
+        (["compare", "--grid", "15:0:10"], "grid needs lo < hi and count >= 2"),
+        (["compare", "--grid", "0:15:x"], "bad grid '0:15:x'"),
+        (["frequencies", "--n", "0"], "--n must be >= 1"),
+        (["coeffs", "--n", "3", "--window", "shifted"],
+         "the exact estimator supports the default window only"),
+    ],
+    ids=["window", "lo-above-hi", "grid-order", "grid-count", "n-zero", "exact-window"],
+)
+def test_usage_error_writes_no_file(argv, message, tmp_path, capsys):
+    target = tmp_path / "out.csv"
+    rc, out, err = run_cli(argv + ["--out", str(target)], capsys)
+    assert rc == 1
+    assert err == f"error: {message}\n"
+    assert out == ""
+    assert not target.exists()
+
+
 def test_out_path_unwritable(tmp_path, capsys):
     target = tmp_path / "missing_dir" / "out.csv"
     rc, _, err = run_cli(["table1", "--out", str(target)], capsys)

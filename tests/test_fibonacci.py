@@ -2,10 +2,11 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from fibfourier.cutproject import Window, enumerate_model_set
+from fibfourier.cutproject import ApproxWindow, Window, enumerate_model_set
 from fibfourier.fibonacci import (
     INTERVAL,
     INV_TAU,
@@ -102,16 +103,75 @@ def test_local_function_far_from_origin():
     assert f(3.0) == pytest.approx(f(3.0), abs=0.0)
 
 
-def test_linear_pieces_cover_interval():
-    f = nearest_distance()
-    pieces = f.linear_pieces(0.0, 20.0)
-    assert pieces[0][0] <= 0.0 and pieces[-1][1] >= 20.0
-    for (lo0, hi0, _, _), (lo1, _, _, _) in zip(pieces, pieces[1:]):
-        assert hi0 == pytest.approx(lo1, abs=1e-12)
-    # each piece reproduces the function at its midpoint
-    for lo, hi, c, m in pieces:
-        mid = 0.5 * (lo + hi)
-        assert c + m * mid == pytest.approx(f(mid), abs=1e-9)
+_WINDOWS = {
+    "default": Window.default(),
+    "shifted": Window.default().shifted(QTau(Fraction(1, 2))),
+    "approx": ApproxWindow(-0.9, 0.7),
+}
+_MAKERS = {
+    "nearest": nearest_distance,
+    "interval": interval_sign,
+    "constant": lambda window: constant(2.5, window),
+}
+
+
+def _reference(name, points, x):
+    """Value at x computed straight from an enumerated slice."""
+    if name == "constant":
+        return 2.5
+    i = max(j for j, p in enumerate(points) if p.value <= x)
+    p, q = points[i], points[i + 1]
+    if name == "nearest":
+        return min(x - p.value, q.value - x)
+    return 1.0 if p.tile == "long" else -1.0
+
+
+def _check_cover(name, f, window, lo, hi):
+    pieces = f.linear_pieces(lo, hi)
+    assert pieces[0][0] == lo and pieces[-1][1] == hi
+    for (_, hi0, _, _), (lo1, _, _, _) in zip(pieces, pieces[1:]):
+        assert hi0 == lo1
+    # breakpoints are the tile ends, plus the tile midpoints for the tent
+    sl = enumerate_model_set(window, lo - 10.0, hi + 10.0)
+    expected = set()
+    for p, q in zip(sl.points, sl.points[1:]):
+        expected.add(p.value)
+        if name == "nearest":
+            expected.add(0.5 * (p.value + q.value))
+    inner = {x for x in expected if lo < x < hi}
+    assert {x0 for x0, _, _, _ in pieces[1:]} == inner
+    for x0, x1, c, m in pieces:
+        assert x0 < x1
+        mid = 0.5 * (x0 + x1)
+        assert c + m * mid == pytest.approx(_reference(name, sl.points, mid), abs=1e-9)
+        assert f(mid) == pytest.approx(_reference(name, sl.points, mid), abs=1e-9)
+
+
+@pytest.mark.parametrize("window_name", _WINDOWS)
+@pytest.mark.parametrize("name", _MAKERS)
+def test_linear_pieces_cover_interval(name, window_name):
+    window = _WINDOWS[window_name]
+    f = _MAKERS[name](window)
+    _check_cover(name, f, window, 0.0, 20.0)
+    points = enumerate_model_set(window, -5.0, 40.0).points
+    ends = [p.value for p in points]
+    mids = [0.5 * (p.value + q.value) for p, q in zip(points, points[1:])]
+    # bounds exactly on tile ends and tile midpoints, and inside one tile
+    for lo, hi in (
+        (ends[3], ends[9]),
+        (mids[2], mids[7]),
+        (ends[4], mids[4]),
+        (mids[5], ends[6]),
+        (mids[6], mids[6] + 1e-3),
+        (ends[10] + 0.1, ends[11] - 0.1),
+    ):
+        _check_cover(name, f, window, lo, hi)
+    # a far interval after the near ones regrows the context, so the table
+    # is rebuilt from the new slice
+    before = f.context.ensure(0.0, 20.0)
+    _check_cover(name, f, window, 5000.0, 5030.0)
+    assert f.context.ensure(0.0, 20.0) is not before
+    _check_cover(name, f, window, 0.0, 20.0)
 
 
 def test_constant_function():

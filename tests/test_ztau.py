@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from fibfourier.cutproject import Frequency
 from fibfourier.ztau import (
-    CONSTANTS,
     DELTA,
     DELTA_STAR,
     SQRT5,
@@ -16,8 +16,6 @@ from fibfourier.ztau import (
     ArithmeticCapacityError,
     QTau,
     ZTau,
-    internal_phase,
-    phase,
     trace_pairing,
 )
 
@@ -38,9 +36,6 @@ def test_constants():
     # pairing identities that make the phase split exact
     assert DELTA + DELTA_STAR == pytest.approx(1.0, abs=1e-14)
     assert DELTA * TAU + DELTA_STAR * TAU_STAR == pytest.approx(0.0, abs=1e-14)
-    assert CONSTANTS.tau == TAU
-    assert CONSTANTS.delta == DELTA
-    assert CONSTANTS.delta_star == DELTA_STAR
 
 
 def test_multiplication_examples():
@@ -134,34 +129,32 @@ def test_embedding_trace_and_difference():
 
 
 def test_phase_examples():
-    assert phase(QTau(0), 7.3) == 0.0
-    assert phase(QTau(Fraction(1, 2)), 1.0) == pytest.approx(DELTA, abs=1e-14)
-    assert phase(QTau(0, Fraction(1, 2)), SQRT5) == pytest.approx(1.0, abs=1e-12)
+    assert Frequency(0, 0).phase(7.3) == 0.0
+    assert Frequency(1, 0).phase(1.0) == pytest.approx(DELTA, abs=1e-14)
+    assert Frequency(0, 1).phase(SQRT5) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_internal_phase_examples():
-    assert internal_phase(QTau(0), 0.5) == 0.0
-    assert internal_phase(QTau(Fraction(1, 2)), 1.0) == pytest.approx(
-        DELTA_STAR, abs=1e-14
-    )
+    assert Frequency(0, 0).internal_phase(0.5) == 0.0
+    assert Frequency(1, 0).internal_phase(1.0) == pytest.approx(DELTA_STAR, abs=1e-14)
     # k = tau/2 against u = 2: 2 * delta* * tau* * 2 is negative
-    assert internal_phase(QTau(0, Fraction(1, 2)), 2.0) == pytest.approx(
+    assert Frequency(0, 1).internal_phase(2.0) == pytest.approx(
         -0.8944271909999161, abs=1e-12
     )
 
 
 def test_phase_split_recovers_pairing_mod_one():
-    """phase(k, x) + internal_phase(k, x') == <k, x> up to an integer."""
+    """k.phase(x) + k.internal_phase(x') == <k, x> up to an integer.
+
+    This split is what lets a sum over data points factor into a grid DFT.
+    """
     rng = random.Random(7)
     for _ in range(300):
-        k = QTau(
-            Fraction(rng.randint(-40, 40), 2),
-            Fraction(rng.randint(-40, 40), 2),
-        )
+        k = Frequency(rng.randint(-40, 40), rng.randint(-40, 40))
         x = ZTau(rng.randint(-50, 50), rng.randint(-50, 50))
         e = x.embed()
-        total = phase(k, e.x) + internal_phase(k, e.x_star)
-        expected = float(trace_pairing(k, x.qtau()))
+        total = k.phase(e.x) + k.internal_phase(e.x_star)
+        expected = float(trace_pairing(k.qtau, x.qtau()))
         frac = total - expected
         assert abs(frac - round(frac)) < 1e-9
 

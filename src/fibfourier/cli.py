@@ -257,8 +257,7 @@ def cmd_frequencies(cfg: RunConfig) -> Report:
 
 def cmd_coeffs(cfg: RunConfig) -> Report:
     estimators = [cfg.estimator] if cfg.estimator != "all" else list(_ESTIMATORS)
-    needs_path = any(e in ("integral", "sum") for e in estimators)
-    path = _resolve_path(cfg) if needs_path else None
+    path = _resolve_path(cfg) if estimators != ["exact"] else None
     window = parse_window(cfg.window)
     if "exact" in estimators and cfg.window != "default":
         raise ValueError("the exact estimator supports the default window only")

@@ -155,8 +155,8 @@ def interval_sign(window: AnyWindow | None = None) -> LocalFunction:
     return LocalFunction(_step, window)
 
 
-def constant(c: float, window: AnyWindow | None = None) -> LocalFunction:
-    return LocalFunction(lambda p, q: [(p.value, q.value, c, 0.0)], window)
+def constant(c: float) -> LocalFunction:
+    return LocalFunction(lambda p, q: [(p.value, q.value, c, 0.0)])
 
 
 # chart shifts tried when folding a fundamental-cell point into the
@@ -179,7 +179,7 @@ class TorusLift:
 
     `short` and `long` give the value at chart abscissa x on the short- and
     long-tile rectangle; `integral` is the integral over the fundamental
-    cell (unnormalized).
+    cell (unnormalized), returned by cell_integral().
     """
 
     #: (x0, x1, y0, y1) of the supporting rectangles in the chart
@@ -196,14 +196,11 @@ class TorusLift:
         self.descriptor = descriptor
         self.short = short
         self.long = long
-        self.integral = integral
+        self._integral = integral
 
     @classmethod
     def constant(cls, c: float) -> TorusLift:
-        def value(x: float) -> float:
-            return c
-
-        return cls("user", value, value, c * SQRT5)  # cell area is sqrt5
+        return cls("user", lambda x: c, lambda x: c, c * SQRT5)  # cell area is sqrt5
 
     @property
     def rectangles(self) -> tuple[tuple[float, float, float, float], ...]:
@@ -253,7 +250,7 @@ class TorusLift:
 
     def cell_integral(self) -> float:
         """Integral over the fundamental cell (unnormalized)."""
-        return self.integral
+        return self._integral
 
 
 #: descriptor -> (short-rectangle value, long-rectangle value, cell integral)

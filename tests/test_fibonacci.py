@@ -12,6 +12,7 @@ from fibfourier.fibonacci import (
     INV_TAU,
     INV_TAU2,
     NEAREST,
+    LocalFunction,
     TorusLift,
     constant,
     nearest_distance,
@@ -111,7 +112,8 @@ _WINDOWS = {
 _MAKERS = {
     "nearest": nearest_distance,
     "interval": interval_sign,
-    "constant": lambda window: constant(2.5, window),
+    # the constant's pieces follow the tiles of whichever window it is built on
+    "constant": lambda window: LocalFunction(constant(2.5).rule, window),
 }
 
 

@@ -24,7 +24,6 @@ from .discretize import (
     DataPointSet,
     ErrorEstimate,
     PathDecomposition,
-    RefinementReps,
     Segment,
     cell_quadrature,
     compare_data_points,
@@ -90,7 +89,6 @@ __all__ = [
     "PathDecomposition",
     "PointContext",
     "QTau",
-    "RefinementReps",
     "SQRT5",
     "Segment",
     "TAU",

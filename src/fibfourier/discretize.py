@@ -46,32 +46,21 @@ class RepPoint(NamedTuple):
         return self.s.embed().x_star
 
 
-@dataclass
-class RefinementReps:
-    n: int
-    reps: list[RepPoint]
-
-    def __len__(self) -> int:
-        return len(self.reps)
-
-
-def refinement_reps(n: int) -> RefinementReps:
+def refinement_reps(n: int) -> list[RepPoint]:
     """The n^2 refined-lattice representatives (i + j*tau)/n, 0 <= i, j < n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    reps = [
+    return [
         RepPoint(QTau(Fraction(i, n), Fraction(j, n)), i, j)
         for i in range(n)
         for j in range(n)
     ]
-    return RefinementReps(n, reps)
 
 
 class Segment(NamedTuple):
     t_enter: float
     t_exit: float
-    translate: ZTau       # lattice point (t, t') subtracted to re-enter the cell
-    cell: tuple[int, int]  # lattice coordinates (wrap counts) of the translate
+    translate: ZTau  # lattice point (t, t') subtracted to re-enter the cell
 
     @property
     def height(self) -> float:
@@ -140,7 +129,7 @@ def path_decomposition(
     t0 = 0.0
     cu = cv = 0
     for kind, t in crossings:
-        segments.append(Segment(t0, t, ZTau(cu, cv), (cu, cv)))
+        segments.append(Segment(t0, t, ZTau(cu, cv)))
         if kind == "u":
             cu += 1
         else:
@@ -153,7 +142,6 @@ def path_decomposition(
 class DataPoint(NamedTuple):
     u: float
     s: QTau
-    s_cell: tuple[int, int]
     translate: ZTau
     residual: float  # |s' + t'|, internal distance from the matched segment
 
@@ -186,7 +174,6 @@ def _assemble(n: int, path: PathDecomposition, picks) -> DataPointSet:
             DataPoint(
                 emb.x + temb.x,
                 rep.s,
-                (rep.i, rep.j),
                 seg.translate,
                 abs(emb.x_star + temb.x_star),
             )
@@ -200,7 +187,7 @@ def data_points(n: int, path: PathDecomposition) -> DataPointSet:
     translate with minimal internal residual |s' + t'| (ties: smaller t)."""
     table = [(seg.height, seg.translate.embed().x, seg) for seg in path.segments]
     picks = []
-    for rep in refinement_reps(n).reps:
+    for rep in refinement_reps(n):
         ss = rep.value_star
         best = min(table, key=lambda row: (abs(ss - row[0]), row[1]))
         picks.append((rep, best[2]))
@@ -217,7 +204,7 @@ def strip_projection_oracle(n: int, path: PathDecomposition) -> DataPointSet:
     """
     order, c = path.strips
     picks = []
-    for rep in refinement_reps(n).reps:
+    for rep in refinement_reps(n):
         idx = bisect_left(c, rep.value_star)
         if idx < 1 or idx > len(order):
             raise RuntimeError("representative escaped the strip partition")
@@ -315,7 +302,7 @@ def error_estimate(
 def cell_quadrature(lift: TorusLift, n: int) -> float:
     """(sqrt5/n^2) * sum of the lift over the refined representatives."""
     total = 0.0
-    for rep in refinement_reps(n).reps:
+    for rep in refinement_reps(n):
         emb = rep.s.embed()
         total += lift.evaluate_torus(emb.x, emb.x_star)
     return SQRT5 * total / (n * n)

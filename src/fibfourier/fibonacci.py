@@ -159,21 +159,6 @@ def constant(c: float) -> LocalFunction:
     return LocalFunction(lambda p, q: [(p.value, q.value, c, 0.0)])
 
 
-# chart shifts tried when folding a fundamental-cell point into the
-# two-rectangle domain
-_CHART_SHIFTS = [(m, n) for m in (0, 1, -1, 2) for n in (0, 1, -1, 2)]
-
-# acceptance ring for points that float rounding pushed off every copy
-_SEAM_TOL = 1e-9
-
-
-def _in_short_rect(x: float, y: float) -> bool:
-    return -1.0 <= x < 0.0 and -INV_TAU < y <= 0.0
-
-def _in_long_rect(x: float, y: float) -> bool:
-    return 0.0 <= x < TAU and -INV_TAU < y <= INV_TAU2
-
-
 class TorusLift:
     """Periodic lift of a local function, supported on two rectangles.
 
@@ -206,44 +191,23 @@ class TorusLift:
     def rectangles(self) -> tuple[tuple[float, float, float, float], ...]:
         return (self.SHORT_RECT, self.LONG_RECT)
 
-    def evaluate_cell(self, x: float, y: float) -> float:
-        """Value at chart coordinates; raises outside the two rectangles."""
-        if _in_short_rect(x, y):
-            return self.short(x)
-        if _in_long_rect(x, y):
-            return self.long(x)
-        # closed-boundary fallback so corner samples stay evaluable
-        if -1.0 <= x <= 0.0 and -INV_TAU <= y <= 0.0:
-            return self.short(x)
-        if 0.0 <= x <= TAU and -INV_TAU <= y <= INV_TAU2:
-            return self.long(x)
-        raise ValueError(f"({x}, {y}) outside the support rectangles")
-
     def evaluate_torus(self, x: float, y: float) -> float:
-        """Value at any plane point, reduced modulo the scheme lattice."""
-        v = (x - y) / SQRT5
-        u = x - v * TAU
-        u -= math.floor(u)
-        v -= math.floor(v)
-        xc = u + v * TAU
-        yc = u + v * TAU_STAR
-        for m, n in _CHART_SHIFTS:
-            xx = xc - (m + n * TAU)
-            yy = yc - (m + n * TAU_STAR)
-            if _in_short_rect(xx, yy):
-                return self.short(xx)
-            if _in_long_rect(xx, yy):
-                return self.long(xx)
-        # a rounded coordinate can graze an open edge and fall out of every
-        # copy; retry with a tolerance ring and clamp onto the matched seam
-        for m, n in _CHART_SHIFTS:
-            xx = xc - (m + n * TAU)
-            yy = yc - (m + n * TAU_STAR)
-            if -1.0 - _SEAM_TOL <= xx <= _SEAM_TOL and -INV_TAU - _SEAM_TOL <= yy <= _SEAM_TOL:
-                return self.evaluate_cell(min(max(xx, -1.0), 0.0), min(max(yy, -INV_TAU), 0.0))
-            if -_SEAM_TOL <= xx <= TAU + _SEAM_TOL and -INV_TAU - _SEAM_TOL <= yy <= INV_TAU2 + _SEAM_TOL:
-                return self.evaluate_cell(min(max(xx, 0.0), TAU), min(max(yy, -INV_TAU), INV_TAU2))
-        raise RuntimeError(f"chart reduction failed for ({x}, {y})")
+        """Value at any plane point, reduced modulo the scheme lattice.
+
+        The copy of the support at lattice point a + b*tau that holds (x, y)
+        lies in column b = floor((x - y)/sqrt5) or the next one; in column b
+        the internal condition y - a - b*tau' in (-1/tau, 1/tau^2] fixes a,
+        and the copy holds the point exactly when x - a - b*tau < tau.  One
+        comparison per column leaves no seam for rounding to open, but the
+        reduced coordinates carry an error that grows with ulp(|x|).
+        """
+        b0 = math.floor((x - y) / SQRT5)
+        for b in (b0, b0 + 1):
+            a = math.ceil(y - b * TAU_STAR - INV_TAU2)
+            xx = x - a - b * TAU
+            if xx < TAU:
+                return self.long(xx) if xx >= 0.0 else self.short(xx)
+        raise RuntimeError(f"torus reduction failed for ({x}, {y})")
 
     def on_line(self, t: float) -> float:
         return self.evaluate_torus(t, 0.0)

@@ -34,11 +34,11 @@ _SQ5 = math.sqrt(5.0)
 def test_refinement_reps_small():
     r1 = refinement_reps(1)
     assert len(r1) == 1
-    assert r1.reps[0].s == QTau(0, 0)
+    assert r1[0].s == QTau(0, 0)
     r3 = refinement_reps(3)
     assert len(r3) == 9
-    assert {(p.i, p.j) for p in r3.reps} == {(i, j) for i in range(3) for j in range(3)}
-    assert r3.reps[5].s == QTau(Fraction(1, 3), Fraction(2, 3))
+    assert {(p.i, p.j) for p in r3} == {(i, j) for i in range(3) for j in range(3)}
+    assert r3[5].s == QTau(Fraction(1, 3), Fraction(2, 3))
     assert len(refinement_reps(7)) == 49
     with pytest.raises(ValueError):
         refinement_reps(0)
@@ -51,7 +51,6 @@ def test_path_single_pass():
     seg = path.segments[0]
     assert (seg.t_enter, seg.t_exit) == (0.0, pytest.approx(_SQ5, abs=1e-12))
     assert seg.translate == ZTau(0, 0)
-    assert seg.cell == (0, 0)
 
 
 def test_path_three_passes():
@@ -91,7 +90,8 @@ def test_path_segments_chain_and_cells():
     delta = 1.0 / (TAU * _SQ5)
     for seg in path.segments:
         mid = 0.5 * (seg.t_enter + seg.t_exit)
-        assert seg.cell == (math.floor(delta * mid), math.floor(TAU * delta * mid))
+        wraps = (math.floor(delta * mid), math.floor(TAU * delta * mid))
+        assert (seg.translate.a, seg.translate.b) == wraps
         # heights fill the internal direction of the cell
         assert TAU_STAR - 1e-12 < seg.height < 1.0 + 1e-12
 
@@ -120,7 +120,7 @@ def test_data_points_basic_invariants():
         assert us == sorted(us)
         assert all(0.0 <= u <= path.r + 1e-9 for u in us)
         # exact equidistribution: every refined representative appears once
-        cells = sorted(p.s_cell for p in data.points)
+        cells = sorted((n * p.s.a, n * p.s.b) for p in data.points)
         assert cells == [(i, j) for i in range(n) for j in range(n)]
         assert all(p.residual >= 0.0 for p in data.points)
 
@@ -137,8 +137,7 @@ def test_data_points_land_near_their_representative(n, passes, cap):
     worst = 0.0
     for p in data.points:
         u, v = torus_coords(p.u)
-        i, j = p.s_cell
-        worst = max(worst, circ(u, i / n), circ(v, j / n))
+        worst = max(worst, circ(u, p.s.a), circ(v, p.s.b))
     assert worst <= 1.0 / n + 1e-12
     assert worst <= cap
 

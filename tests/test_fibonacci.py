@@ -23,7 +23,7 @@ from fibfourier.fibonacci import (
     torus_lift,
 )
 from fibfourier.fourier import line_integral
-from fibfourier.ztau import QTau, TAU, ZTau
+from fibfourier.ztau import QTau, TAU, TAU_STAR, ZTau
 
 
 def test_substitution_word_prefixes():
@@ -196,22 +196,59 @@ def test_lift_rectangles():
 
 def test_lift_cell_values():
     near = torus_lift(NEAREST)
-    assert near.evaluate_cell(-0.5, -0.3) == pytest.approx(0.5, abs=1e-12)
-    assert near.evaluate_cell(0.0, -0.3) == pytest.approx(0.0, abs=1e-12)
     step = torus_lift(INTERVAL)
-    assert step.evaluate_cell(0.5 * TAU, 0.0) == 1.0
-    assert step.evaluate_cell(-0.5, -0.3) == -1.0
-    with pytest.raises(ValueError):
-        near.evaluate_cell(5.0, 5.0)
+    cases = [
+        (near, -0.5, -0.3, 0.5),
+        (near, 0.0, -0.3, 0.0),
+        (step, 0.5 * TAU, 0.0, 1.0),
+        (step, -0.5, -0.3, -1.0),
+    ]
+    for lift, x, y, value in cases:
+        assert lift.evaluate_torus(x, y) == pytest.approx(value, abs=1e-12)
+        # the lift is periodic under the lattice vector (1 + tau, 1 + tau')
+        shifted = lift.evaluate_torus(x + 1.0 + TAU, y + 1.0 + TAU_STAR)
+        assert shifted == pytest.approx(value, abs=1e-12)
+
+
+def test_lift_reduces_rectangle_corners():
+    # a rounded point next to a corner where three copies of the support
+    # meet must still land in one of them
+    step = torus_lift(INTERVAL)
+    corners = [(x, y) for x in (-1.0, 0.0, TAU) for y in (-INV_TAU, 0.0, INV_TAU2)]
+    for a in range(-40, 41):
+        for b in range(-40, 41):
+            for x, y in corners:
+                value = step.evaluate_torus(x + a + b * TAU, y + a + b * TAU_STAR)
+                assert value in (-1.0, 1.0)
 
 
 def test_lift_restricts_to_line():
     rng = random.Random(59)
-    for descriptor, f in ((NEAREST, nearest_distance()), (INTERVAL, interval_sign())):
+    random_ts = [rng.uniform(-500.0, 500.0) for _ in range(1000)]
+    # a fine grid and every tile midpoint over [-600, 2000], which takes in
+    # the tiles around [-tau^2, 0)
+    grid = [-600.0 + 2600.0 * i / 400_000 for i in range(400_001)]
+    points = [p.value for p in enumerate_model_set(Window.default(), -600.0, 2000.0).points]
+    mids = [0.5 * (p + q) for p, q in zip(points, points[1:])]
+    # interval_sign jumps at the model points, where a float t cannot tell
+    # which tile it starts, so only the continuous tent is checked there
+    for descriptor, f, ts in (
+        (NEAREST, nearest_distance(), random_ts + grid + mids + points),
+        (INTERVAL, interval_sign(), random_ts + grid + mids),
+    ):
         lift = torus_lift(descriptor)
-        for _ in range(1000):
-            t = rng.uniform(-500.0, 500.0)
-            assert lift.on_line(t) == pytest.approx(f(t), abs=1e-9)
+        bad = [t for t in ts if abs(lift.on_line(t) - f(t)) > 1e-9]
+        assert bad == []
+
+
+def test_lift_precision_far_from_origin():
+    # the reduction loses precision with ulp(|t|); a fresh function per t
+    # keeps the point context from spanning the gap between far queries
+    lift = torus_lift(NEAREST)
+    rng = random.Random(67)
+    for _ in range(300):
+        t = rng.choice((-1.0, 1.0)) * rng.uniform(5.0e6, 1.0e7)
+        assert abs(lift.on_line(t) - nearest_distance()(t)) <= 1e-8
 
 
 def test_cell_integrals():

@@ -76,7 +76,7 @@ def test_coeff_exact_against_adaptive_quadrature(lift, ka, kb):
         opts = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 
         def prof(x):
-            return lift.evaluate_cell(x, ymid)
+            return lift.evaluate_torus(x, ymid)
 
         xr = quad(lambda x: prof(x) * math.cos(wx * x), x0, x1, points=kink, **opts)[0]
         xi = quad(lambda x: -prof(x) * math.sin(wx * x), x0, x1, points=kink, **opts)[0]

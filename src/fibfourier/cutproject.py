@@ -80,12 +80,6 @@ class Window:
         rb = "]" if self.includes_hi else ")"
         return f"Window{lb}{self.lo!r}, {self.hi!r}{rb}"
 
-    def spec_string(self) -> str:
-        lb = "[" if self.includes_lo else "("
-        rb = "]" if self.includes_hi else ")"
-        lo, hi = self.bounds_float()
-        return f"{lb}{lo:.12g},{hi:.12g}{rb}"
-
     def contains_star(self, xa: int, xb: int) -> bool:
         """Membership test for the internal point xa + xb*tau, exact."""
         na, nb, d = self._scaled_lo
@@ -139,8 +133,6 @@ class ApproxWindow:
         lb = "[" if self.includes_lo else "("
         rb = "]" if self.includes_hi else ")"
         return f"ApproxWindow{lb}{self.lo}, {self.hi}{rb}"
-
-    spec_string = Window.spec_string
 
     def contains_star(self, xa: int, xb: int) -> bool:
         # (xa, xb) are (1, tau)-basis coefficients of the internal point,

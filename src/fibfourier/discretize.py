@@ -30,31 +30,19 @@ log = logging.getLogger(__name__)
 
 _U_WRAP = TAU * SQRT5  # physical lattice coordinate wraps at multiples of this
 _V_WRAP = SQRT5        # internal lattice coordinate wraps at multiples of this
+_MATCH_TOL = 1e-9      # data-point sets agree where their u differ by at most this
+# error_estimate samples a _CELL_SAMPLES^2 grid per refined sub-cell and, per
+# strip, _STRIP_Y_SAMPLES heights at each of _STRIP_X_SAMPLES abscissae
+_CELL_SAMPLES = 10
+_STRIP_X_SAMPLES = 40
+_STRIP_Y_SAMPLES = 5
 
 
-class RepPoint(NamedTuple):
-    s: QTau
-    i: int
-    j: int
-
-    @property
-    def value(self) -> float:
-        return self.s.embed().x
-
-    @property
-    def value_star(self) -> float:
-        return self.s.embed().x_star
-
-
-def refinement_reps(n: int) -> list[RepPoint]:
+def refinement_reps(n: int) -> list[QTau]:
     """The n^2 refined-lattice representatives (i + j*tau)/n, 0 <= i, j < n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return [
-        RepPoint(QTau(Fraction(i, n), Fraction(j, n)), i, j)
-        for i in range(n)
-        for j in range(n)
-    ]
+    return [QTau(Fraction(i, n), Fraction(j, n)) for i in range(n) for j in range(n)]
 
 
 class Segment(NamedTuple):
@@ -165,18 +153,15 @@ class DataPointSet:
         return len(self.points)
 
 
-def _assemble(n: int, path: PathDecomposition, picks) -> DataPointSet:
+def _assemble(n: int, path: PathDecomposition, choose) -> DataPointSet:
+    """One data point per representative s, on the segment choose(s') picks."""
     pts = []
-    for rep, seg in picks:
-        emb = rep.s.embed()
+    for s in refinement_reps(n):
+        emb = s.embed()
+        seg = choose(emb.x_star)
         temb = seg.translate.embed()
         pts.append(
-            DataPoint(
-                emb.x + temb.x,
-                rep.s,
-                seg.translate,
-                abs(emb.x_star + temb.x_star),
-            )
+            DataPoint(emb.x + temb.x, s, seg.translate, abs(emb.x_star + temb.x_star))
         )
     pts.sort(key=lambda p: p.u)
     return DataPointSet(n, path.m, path.r, pts)
@@ -186,12 +171,11 @@ def data_points(n: int, path: PathDecomposition) -> DataPointSet:
     """One data point u = s + t per representative, choosing the pass
     translate with minimal internal residual |s' + t'| (ties: smaller t)."""
     table = [(seg.height, seg.translate.embed().x, seg) for seg in path.segments]
-    picks = []
-    for rep in refinement_reps(n):
-        ss = rep.value_star
-        best = min(table, key=lambda row: (abs(ss - row[0]), row[1]))
-        picks.append((rep, best[2]))
-    return _assemble(n, path, picks)
+
+    def choose(ss: float) -> Segment:
+        return min(table, key=lambda row: (abs(ss - row[0]), row[1]))[2]
+
+    return _assemble(n, path, choose)
 
 
 def strip_projection_oracle(n: int, path: PathDecomposition) -> DataPointSet:
@@ -203,25 +187,24 @@ def strip_projection_oracle(n: int, path: PathDecomposition) -> DataPointSet:
     strip boundary joins the strip below it.
     """
     order, c = path.strips
-    picks = []
-    for rep in refinement_reps(n):
-        idx = bisect_left(c, rep.value_star)
+
+    def choose(ss: float) -> Segment:
+        idx = bisect_left(c, ss)
         if idx < 1 or idx > len(order):
             raise RuntimeError("representative escaped the strip partition")
-        picks.append((rep, order[idx - 1]))
-    return _assemble(n, path, picks)
+        return order[idx - 1]
+
+    return _assemble(n, path, choose)
 
 
-def compare_data_points(
-    a: DataPointSet, b: DataPointSet, tol: float = 1e-9
-) -> list[int]:
+def compare_data_points(a: DataPointSet, b: DataPointSet) -> list[int]:
     """Indices where two equally sized data-point sets disagree (logged)."""
     if len(a) != len(b):
         raise ValueError("data-point sets differ in size")
     bad = [
         j
         for j, (pa, pb) in enumerate(zip(a.points, b.points))
-        if abs(pa.u - pb.u) > tol
+        if abs(pa.u - pb.u) > _MATCH_TOL
     ]
     for j in bad:
         log.info(
@@ -244,25 +227,18 @@ def _cell_chord(x: float) -> tuple[float, float]:
     return lo, hi
 
 
-def error_estimate(
-    lift: TorusLift,
-    n: int,
-    path: PathDecomposition,
-    cell_samples: int = 10,
-    strip_x_samples: int = 40,
-    strip_y_samples: int = 5,
-) -> ErrorEstimate:
+def error_estimate(lift: TorusLift, n: int, path: PathDecomposition) -> ErrorEstimate:
     """Sampled oscillation bounds for the two-step quadrature.
 
     eps_n is the largest oscillation of the lift over any refined sub-cell
-    (sampled on a cell_samples^2 grid); eps_n_prime is the largest vertical
+    (sampled on a _CELL_SAMPLES^2 grid); eps_n_prime is the largest vertical
     oscillation within any strip of the path decomposition.  Sampling makes
     both lower bounds of the true suprema; they are reported as computed.
     """
     # sub-cell oscillation, sampled in lattice coordinates
     eps_n = 0.0
     step = 1.0 / n
-    offs = [k / (cell_samples - 1.0) * step for k in range(cell_samples)]
+    offs = [k / (_CELL_SAMPLES - 1.0) * step for k in range(_CELL_SAMPLES)]
     for i in range(n):
         for j in range(n):
             u0 = i * step
@@ -283,16 +259,16 @@ def error_estimate(
     eps_p = 0.0
     shrink = 1e-9
     for y0, y1 in zip(edges, edges[1:]):
-        for ix in range(strip_x_samples):
-            x = (ix + 0.5) / strip_x_samples * (1.0 + TAU)
+        for ix in range(_STRIP_X_SAMPLES):
+            x = (ix + 0.5) / _STRIP_X_SAMPLES * (1.0 + TAU)
             ch_lo, ch_hi = _cell_chord(x)
             lo = max(y0, ch_lo) + shrink
             hi = min(y1, ch_hi) - shrink
             if lo >= hi:
                 continue
             vals = [
-                lift.evaluate_torus(x, lo + (hi - lo) * iy / (strip_y_samples - 1.0))
-                for iy in range(strip_y_samples)
+                lift.evaluate_torus(x, lo + (hi - lo) * iy / (_STRIP_Y_SAMPLES - 1.0))
+                for iy in range(_STRIP_Y_SAMPLES)
             ]
             eps_p = max(eps_p, max(vals) - min(vals))
 
@@ -302,8 +278,8 @@ def error_estimate(
 def cell_quadrature(lift: TorusLift, n: int) -> float:
     """(sqrt5/n^2) * sum of the lift over the refined representatives."""
     total = 0.0
-    for rep in refinement_reps(n):
-        emb = rep.s.embed()
+    for s in refinement_reps(n):
+        emb = s.embed()
         total += lift.evaluate_torus(emb.x, emb.x_star)
     return SQRT5 * total / (n * n)
 

@@ -31,6 +31,8 @@ from .ztau import SQRT5, TAU, TAU_STAR, ZTau
 
 INV_TAU = 1.0 / TAU
 INV_TAU2 = 1.0 / (TAU * TAU)
+# a PointContext enumerates this far beyond the queried range
+_PAD = 16.0
 
 NEAREST = "nearest_distance"
 INTERVAL = "interval_sign"
@@ -64,16 +66,15 @@ class PointContext:
     context per worker.
     """
 
-    def __init__(self, window: AnyWindow | None = None, pad: float = 16.0) -> None:
+    def __init__(self, window: AnyWindow | None = None) -> None:
         self.window = window if window is not None else Window.default()
-        self.pad = pad
         self._slice: ModelSetSlice | None = None
 
     def ensure(self, lo: float, hi: float) -> ModelSetSlice:
         s = self._slice
         if s is None or lo < s.range_lo or hi > s.range_hi:
-            new_lo = min(lo, s.range_lo if s else lo) - self.pad
-            new_hi = max(hi, s.range_hi if s else hi) + self.pad
+            new_lo = min(lo, s.range_lo if s else lo) - _PAD
+            new_hi = max(hi, s.range_hi if s else hi) + _PAD
             # grow geometrically so repeated small extensions stay cheap
             width = new_hi - new_lo
             new_lo -= 0.25 * width
@@ -104,8 +105,7 @@ class LocalFunction:
         self._starts: list[float] = []
 
     def _table(self, lo: float, hi: float) -> tuple[list[LinearPiece], list[float]]:
-        pad = self.context.pad / 2
-        s = self.context.ensure(lo - pad, hi + pad)
+        s = self.context.ensure(lo - _PAD / 2, hi + _PAD / 2)
         if s is not self._slice:
             pts = s.points
             self._pieces = [piece for p, q in zip(pts, pts[1:]) for piece in self.rule(p, q)]

@@ -34,11 +34,11 @@ _SQ5 = math.sqrt(5.0)
 def test_refinement_reps_small():
     r1 = refinement_reps(1)
     assert len(r1) == 1
-    assert r1[0].s == QTau(0, 0)
+    assert r1[0] == QTau(0, 0)
     r3 = refinement_reps(3)
     assert len(r3) == 9
-    assert {(p.i, p.j) for p in r3} == {(i, j) for i in range(3) for j in range(3)}
-    assert r3[5].s == QTau(Fraction(1, 3), Fraction(2, 3))
+    assert {((3 * s).a, (3 * s).b) for s in r3} == {(i, j) for i in range(3) for j in range(3)}
+    assert r3[5] == QTau(Fraction(1, 3), Fraction(2, 3))
     assert len(refinement_reps(7)) == 49
     with pytest.raises(ValueError):
         refinement_reps(0)

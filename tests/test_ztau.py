@@ -1,10 +1,14 @@
 """Exact arithmetic in the golden-ratio ring and its two embeddings."""
 
 import math
+import operator
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fibfourier.cutproject import Frequency
 from fibfourier.ztau import (
@@ -197,6 +201,73 @@ def test_equality_and_hash_across_types():
     assert QTau(3) == ZTau(3, 0)
     assert hash(ZTau(1, 2)) == hash(ZTau(1, 2))
     assert ZTau(1, 2) != ZTau(2, 1)
+
+
+def test_mixed_operands_leave_the_ring():
+    """A ZTau combined with a rational value is a QTau with the right value."""
+    half = Fraction(1, 2)
+    cases = [
+        (ZTau(1, 0) + QTau(half), QTau(Fraction(3, 2))),
+        (ZTau(1, 1) * QTau(Fraction(1, 3)), QTau(Fraction(1, 3), Fraction(1, 3))),
+        (ZTau(1, 0) + half, QTau(Fraction(3, 2))),
+    ]
+    for got, expected in cases:
+        assert type(got) is QTau
+        assert (got.a, got.b) == (expected.a, expected.b)
+
+
+# reference model: an element is a pair (a, b) of Fractions meaning a + b*tau
+def _pair(x):
+    return (Fraction(x.a), Fraction(x.b)) if isinstance(x, QTau) else (Fraction(x), Fraction(0))
+
+
+def _ref_mul(p, q):
+    # (a + b t)(c + d t) = ac + (ad + bc) t + bd t^2, reduced by t^2 = t + 1
+    (a, b), (c, d) = p, q
+    return a * c + b * d, a * d + b * c + b * d
+
+
+def _ref_value(p):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        tau = (1 + Decimal(5).sqrt()) / 2
+        return Decimal(p[0].numerator) / p[0].denominator + tau * (
+            Decimal(p[1].numerator) / p[1].denominator
+        )
+
+
+_ints = st.integers(-10**6, 10**6)
+_fracs = st.fractions(-10**4, 10**4, max_denominator=60)
+_operands = st.one_of(
+    st.builds(ZTau, _ints, _ints),
+    st.builds(QTau, _fracs, _fracs),
+    _ints,
+    _fracs,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_operands, _operands)
+def test_mixed_operand_arithmetic_matches_pair_model(x, y):
+    assume(isinstance(x, QTau) or isinstance(y, QTau))
+    px, py = _pair(x), _pair(y)
+    integral = all(isinstance(v, (ZTau, int)) for v in (x, y))
+    expected = {
+        operator.add: (px[0] + py[0], px[1] + py[1]),
+        operator.sub: (px[0] - py[0], px[1] - py[1]),
+        operator.mul: _ref_mul(px, py),
+    }
+    for op, pair in expected.items():
+        got = op(x, y)
+        assert type(got) is (ZTau if integral else QTau)
+        assert (got.a, got.b) == pair
+    assert (x == y) == (px == py)
+    assert (x < y) == (_ref_value(px) < _ref_value(py))
+    for v, p in ((x, px), (y, py)):
+        if isinstance(v, QTau):
+            c = v.conj()
+            assert type(c) is type(v)
+            assert (c.a, c.b) == (p[0] + p[1], -p[1])
 
 
 def test_embedding_capacity_guard():

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import logging
 import math
+import weakref
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -140,6 +141,9 @@ class DataPointSet:
     m: int
     r: float
     points: list[DataPoint]
+    _samples: weakref.WeakKeyDictionary[LocalFunction, list[float]] = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
+    )
 
     @cached_property
     def values(self) -> list[float]:
@@ -148,6 +152,13 @@ class DataPointSet:
     @cached_property
     def residuals(self) -> list[float]:
         return [p.residual for p in self.points]
+
+    def samples(self, f: LocalFunction) -> list[float]:
+        """f at every data point, in order; evaluated once per live f."""
+        values = self._samples.get(f)
+        if values is None:
+            values = self._samples[f] = [f(u) for u in self.values]
+        return values
 
     def __len__(self) -> int:
         return len(self.points)
@@ -169,11 +180,28 @@ def _assemble(n: int, path: PathDecomposition, choose) -> DataPointSet:
 
 def data_points(n: int, path: PathDecomposition) -> DataPointSet:
     """One data point u = s + t per representative, choosing the pass
-    translate with minimal internal residual |s' + t'| (ties: smaller t)."""
-    table = [(seg.height, seg.translate.embed().x, seg) for seg in path.segments]
+    translate with minimal internal residual |s' + t'| (ties: smaller t).
+
+    The nearest heights below and above s' are found by bisecting the sorted
+    segment heights; every height at the same distance joins the argmin, so
+    the pick is that of the brute-force minimum over all segments.
+    """
+    rows = sorted(
+        (seg.height, seg.translate.embed().x, i, seg) for i, seg in enumerate(path.segments)
+    )
+    heights = [row[0] for row in rows]
+    last = len(rows) - 1
 
     def choose(ss: float) -> Segment:
-        return min(table, key=lambda row: (abs(ss - row[0]), row[1]))[2]
+        i = bisect_left(heights, ss)
+        lo, hi = max(i - 1, 0), min(i, last)
+        d = min(abs(ss - heights[lo]), abs(ss - heights[hi]))
+        # |s' - h| is monotone on either side of s', so equal distances are adjacent
+        while lo > 0 and abs(ss - heights[lo - 1]) == d:
+            lo -= 1
+        while hi < last and abs(ss - heights[hi + 1]) == d:
+            hi += 1
+        return min(rows[lo : hi + 1], key=lambda row: (abs(ss - row[0]), row[1], row[2]))[3]
 
     return _assemble(n, path, choose)
 
@@ -286,5 +314,4 @@ def cell_quadrature(lift: TorusLift, n: int) -> float:
 
 def data_quadrature(f: LocalFunction, data: DataPointSet) -> float:
     """(sqrt5/n^2) * sum of the local function over the data points."""
-    total = sum(f(p.u) for p in data.points)
-    return SQRT5 * total / (data.n * data.n)
+    return SQRT5 * sum(data.samples(f)) / (data.n * data.n)

@@ -12,6 +12,16 @@ estimators for a_k are provided:
   evaluated piecewise exactly since f is piecewise linear;
 * sum: the data-point average (1/N^2) sum_j f(u_j) exp(-2 pi i 2 DELTA k u_j).
 
+The integral and sum estimators stay one call per frequency, but the work
+that depends only on the function is done once: the sum reads f at each data
+point once per DataPointSet (DataPointSet.samples), and the integral reads
+the pieces over [lo, hi] once per function and range, as rows (mid, half,
+A, B) that each frequency then walks.  A frequency costs one complex
+exponential per data point (sum) or one sine, cosine and complex exponential
+per piece (integral).  Both memos are keyed weakly by the function, so they
+vanish with it, and the row memo keeps only the last range.  Every sum adds the same terms in the same order as the
+one-term-at-a-time formulas, so the coefficients are bit-identical to them.
+
 A periodic cosine baseline fitted on [0, 2] is included for comparison:
 a_j = (1/2) int_0^2 f(x) cos(j pi x / 2) dx for every j including j = 0,
 summed as f_cos(x) = sum_j a_j cos(j pi x / 2).
@@ -21,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -31,18 +42,17 @@ from .ztau import DELTA, DELTA_STAR, SQRT5, TAU
 
 _TWO_PI = 2.0 * math.pi
 
+_PieceRow = tuple[float, float, float, complex]  # (mid, half, A, B)
+#: per live local function, the piece rows of the last range it was integrated over
+_ROWS: weakref.WeakKeyDictionary[LocalFunction, tuple[float, float, list[_PieceRow]]] = (
+    weakref.WeakKeyDictionary()
+)
+
 
 def _sinc(z: float) -> float:
     if abs(z) < 1e-12:
         return 1.0
     return math.sin(z) / z
-
-
-def _hfun(z: float) -> float:
-    # (sin z - z cos z) / z^2, odd, ~ z/3 near 0
-    if abs(z) < 1e-4:
-        return z / 3.0 - z * z * z / 30.0
-    return (math.sin(z) - z * math.cos(z)) / (z * z)
 
 
 def _box_transform(y0: float, y1: float, w: float) -> complex:
@@ -74,21 +84,41 @@ def coeff_exact(k: Frequency, lift: TorusLift) -> complex:
     return (x_short * y_short + x_long * y_long) / SQRT5
 
 
-def _piece_integral(x0: float, x1: float, c: float, m: float, w: float) -> complex:
-    # int_{x0}^{x1} (c + m x) exp(-i w x) dx
-    mid = 0.5 * (x0 + x1)
-    half = 0.5 * (x1 - x0)
-    z = w * half
-    val = (c + m * mid) * 2.0 * half * _sinc(z) - 2.0j * m * half * half * _hfun(z)
-    return val * cmath.exp(-1j * w * mid)
+def _piece_rows(f: LocalFunction, lo: float, hi: float) -> list[_PieceRow]:
+    """The pieces of f clipped to [lo, hi] as rows (mid, half, A, B), taken
+    once per function and range."""
+    memo = _ROWS.get(f)
+    if memo is None or memo[0] != lo or memo[1] != hi:
+        rows = []
+        for x0, x1, c, m in f.linear_pieces(lo, hi):
+            mid = 0.5 * (x0 + x1)
+            half = 0.5 * (x1 - x0)
+            rows.append((mid, half, (c + m * mid) * 2.0 * half, 2.0j * m * half * half))
+        memo = _ROWS[f] = (lo, hi, rows)
+    return memo[2]
 
 
 def line_integral(f: LocalFunction, w: float, lo: float, hi: float) -> complex:
-    """int_lo^hi f(x) exp(-i w x) dx, exact on the piecewise-linear parts."""
-    return sum(
-        (_piece_integral(x0, x1, c, m, w) for x0, x1, c, m in f.linear_pieces(lo, hi)),
-        start=0j,
-    )
+    """int_lo^hi f(x) exp(-i w x) dx, exact on the piecewise-linear parts.
+
+    Per piece, int (c + m x) exp(-i w x) dx over mid +- half is
+    (A sinc(z) - B h(z)) exp(-i w mid) with z = w*half,
+    h(z) = (sin z - z cos z)/z^2 (series z/3 - z^3/30 near 0).
+    """
+    sin, cos, exp = math.sin, math.cos, cmath.exp
+    nw = -1j * w
+    terms = []
+    for mid, half, a, b in _piece_rows(f, lo, hi):
+        z = w * half
+        if abs(z) < 1e-4:
+            sinc = 1.0 if abs(z) < 1e-12 else sin(z) / z
+            h = z / 3.0 - z * z * z / 30.0
+        else:
+            s = sin(z)
+            sinc = s / z
+            h = (s - z * cos(z)) / (z * z)
+        terms.append((a * sinc - b * h) * exp(nw * mid))
+    return sum(terms, start=0j)
 
 
 def coeff_integral(k: Frequency, f: LocalFunction, r: float) -> complex:
@@ -101,8 +131,9 @@ def coeff_integral(k: Frequency, f: LocalFunction, r: float) -> complex:
 
 def coeff_sum(k: Frequency, f: LocalFunction, data: DataPointSet) -> complex:
     """Data-point estimator (1/N^2) sum_j f(u_j) exp(-2 pi i 2 DELTA k u_j)."""
-    w = 2.0 * _TWO_PI * DELTA * k.value
-    total = sum(f(u) * cmath.exp(-1j * w * u) for u in data.values)
+    nw = -1j * (2.0 * _TWO_PI * DELTA * k.value)
+    exp = cmath.exp
+    total = sum(fu * exp(nw * u) for fu, u in zip(data.samples(f), data.values))
     return total / (data.n * data.n)
 
 

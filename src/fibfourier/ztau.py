@@ -71,7 +71,8 @@ class QTau:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        # a rational element equals its int/Fraction, so it must hash like it
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def _operand(self, other: QTau | RationalLike) -> tuple[QTau, type[QTau]]:
         """`other` as an element, and the class of a result combining it with self."""

@@ -8,6 +8,9 @@ import pytest
 
 from fibfourier.cutproject import torus_coords
 from fibfourier.discretize import (
+    DataPoint,
+    PathDecomposition,
+    Segment,
     cell_quadrature,
     compare_data_points,
     data_points,
@@ -148,6 +151,53 @@ def test_strip_projection_agrees_with_residual_rule(n, passes):
     a = data_points(n, path)
     b = strip_projection_oracle(n, path)
     assert compare_data_points(a, b) == []
+
+
+def _argmin_points(n, path):
+    """Data points by brute force: every representative against every segment."""
+    pts = []
+    for s in refinement_reps(n):
+        emb = s.embed()
+        seg = min(
+            path.segments,
+            key=lambda g: (abs(emb.x_star - g.height), g.translate.embed().x),
+        )
+        t = seg.translate.embed()
+        pts.append(DataPoint(emb.x + t.x, s, seg.translate, abs(emb.x_star + t.x_star)))
+    pts.sort(key=lambda p: p.u)
+    return pts
+
+
+@pytest.mark.parametrize("n,passes", [(1, 5), (3, 10), (7, 11), (9, 17), (27, 300)])
+def test_data_points_match_brute_force_argmin(n, passes):
+    path = path_decomposition(passes=passes)
+    assert data_points(n, path).points == _argmin_points(n, path)
+
+
+def test_data_points_break_ties_like_the_argmin():
+    # s' = 0 lies halfway between heights -+(1 + tau'): the smaller t wins
+    segs = [
+        Segment(0.0, 1.0, ZTau(1, 1)),
+        Segment(1.0, 2.0, ZTau(-1, -1)),
+        Segment(2.0, 3.0, ZTau(2, 0)),
+    ]
+    path = PathDecomposition(segs, 3.0, 3)
+    points = data_points(1, path).points
+    assert points == _argmin_points(1, path)
+    assert points[0].translate == ZTau(-1, -1)
+    # two translates whose float heights coincide below s' = 0: the bisect
+    # lands next to the larger t, the argmin takes the smaller one
+    far, near = ZTau(681279976, 1102334157), ZTau(618033990, 1000000002)
+    assert Segment(0.0, 1.0, far).height == Segment(0.0, 1.0, near).height < 0.0
+    path = PathDecomposition([Segment(0.0, 1.0, far), Segment(1.0, 2.0, near)], 2.0, 2)
+    points = data_points(1, path).points
+    assert points == _argmin_points(1, path)
+    assert points[0].translate == near
+    # repeated segments and any segment order give the brute-force picks
+    real = path_decomposition(passes=40).segments
+    for order in (real * 2, real[::-1] + real, real[::2] + real[1::2]):
+        path = PathDecomposition(order, 0.0, len(order))
+        assert data_points(9, path).points == _argmin_points(9, path)
 
 
 def test_strip_projection_n1():

@@ -1,17 +1,21 @@
 """Coefficient estimators, approximants, and the periodic cosine baseline."""
 
 import cmath
+import gc
 import math
 import random
+import weakref
 
 import pytest
 from scipy.integrate import quad
 
 from fibfourier.cutproject import Frequency, Window, frequency_representatives
 from fibfourier.discretize import data_points, path_decomposition
+from fibfourier.discretize import data_quadrature
 from fibfourier.fibonacci import (
     INTERVAL,
     NEAREST,
+    LocalFunction,
     TorusLift,
     constant,
     interval_sign,
@@ -120,6 +124,138 @@ def test_coeff_integral_reference_rows():
     # ... and all golden rows are recovered at the reference radius 42*sqrt5
     v = coeff_integral(Frequency(-1, 0), f, 42.0 * SQRT5)
     assert v == pytest.approx(0.0236 + 0.0292j, abs=1e-3)
+
+
+# The estimators as first written, one term per piece or data point.  The
+# tests below hold the batched code in fibfourier.fourier to the same bits.
+
+
+def _ref_sinc(z):
+    return 1.0 if abs(z) < 1e-12 else math.sin(z) / z
+
+
+def _ref_hfun(z):
+    if abs(z) < 1e-4:
+        return z / 3.0 - z * z * z / 30.0
+    return (math.sin(z) - z * math.cos(z)) / (z * z)
+
+
+def _ref_line_integral(f, w, lo, hi):
+    def piece(x0, x1, c, m):
+        mid = 0.5 * (x0 + x1)
+        half = 0.5 * (x1 - x0)
+        z = w * half
+        val = (c + m * mid) * 2.0 * half * _ref_sinc(z) - 2.0j * m * half * half * _ref_hfun(z)
+        return val * cmath.exp(-1j * w * mid)
+
+    return sum((piece(*p) for p in f.linear_pieces(lo, hi)), start=0j)
+
+
+def _ref_coeff_integral(k, f, r):
+    return _ref_line_integral(f, _angular(k), 0.0, r) / r
+
+
+def _ref_coeff_sum(k, f, data):
+    w = _angular(k)
+    return sum(f(u) * cmath.exp(-1j * w * u) for u in data.values) / (data.n * data.n)
+
+
+_FUNCTIONS = {"nearest": nearest_distance, "interval": interval_sign}
+
+
+@pytest.mark.parametrize("name", sorted(_FUNCTIONS))
+@pytest.mark.parametrize("n", [3, 9])
+@pytest.mark.parametrize("passes", [14, 400], ids=["near", "far"])
+def test_estimators_match_per_term_formulas_bitwise(name, n, passes):
+    make = _FUNCTIONS[name]
+    path = path_decomposition(passes=passes)
+    data = data_points(n, path)
+    f, ref = make(), make()
+    for k in frequency_representatives(n):
+        assert coeff_integral(k, f, path.r) == _ref_coeff_integral(k, ref, path.r)
+        assert coeff_sum(k, f, data) == _ref_coeff_sum(k, ref, data)
+    assert data_quadrature(f, data) == SQRT5 * sum(ref(u) for u in data.values) / (n * n)
+
+
+@pytest.mark.parametrize("name", sorted(_FUNCTIONS))
+def test_line_integral_far_from_origin_bitwise(name):
+    f, ref = _FUNCTIONS[name](), _FUNCTIONS[name]()
+    lo, hi = 1.0e5 + 0.3, 1.0e5 + 61.7
+    # tiny rates reach both small-argument branches (|z| < 1e-12 and < 1e-4)
+    rates = [1e-13, -2e-9, 3e-6] + [_angular(k) for k in frequency_representatives(9)]
+    for w in rates:
+        assert line_integral(f, w, lo, hi) == _ref_line_integral(ref, w, lo, hi)
+
+
+@pytest.mark.parametrize("name", sorted(_FUNCTIONS))
+@pytest.mark.parametrize("conventional", [False, True])
+def test_cos_baseline_matches_per_term_formula_bitwise(name, conventional):
+    f, ref = _FUNCTIONS[name](), _FUNCTIONS[name]()
+    expected = []
+    for j in range(31):
+        a = 0.5 * _ref_line_integral(ref, 0.5 * math.pi * j, 0.0, 2.0).real
+        expected.append(2.0 * a if conventional and j > 0 else a)
+    assert cos_baseline(f, 30, conventional).cosine == expected
+
+
+class _CountingFunction(LocalFunction):
+    """nearest_distance, counting point evaluations and piece-list requests."""
+
+    def __init__(self):
+        super().__init__(nearest_distance().rule)
+        self.evaluations = 0
+        self.piece_requests = 0
+
+    def __call__(self, t):
+        self.evaluations += 1
+        return super().__call__(t)
+
+    def linear_pieces(self, lo, hi):
+        self.piece_requests += 1
+        return super().linear_pieces(lo, hi)
+
+
+def test_sum_pass_evaluates_f_once_per_data_point():
+    freqs = frequency_representatives(9)
+    data = data_points(9, path_decomposition(passes=60))
+    f = _CountingFunction()
+    build_approximant("sum", freqs, f=f, data=data)
+    assert f.evaluations == len(data) == 81  # not 81 frequencies x 81 points
+    data_quadrature(f, data)
+    assert f.evaluations == len(data)
+    # a second function sampled on the same data gets its own values
+    g = _CountingFunction()
+    assert coeff_sum(K00, g, data) == coeff_sum(K00, f, data)
+    assert g.evaluations == len(data)
+
+
+def test_integral_pass_takes_pieces_once_per_range():
+    freqs = frequency_representatives(9)
+    path = path_decomposition(passes=60)
+    f = _CountingFunction()
+    first = build_approximant("integral", freqs, f=f, r=path.r)
+    assert f.piece_requests == 1
+    # a new range takes its own pieces; going back to the first rebuilds them
+    coeff_integral(K00, f, 0.5 * path.r)
+    assert f.piece_requests == 2
+    # a far evaluation re-enumerates the context and rebuilds f's own table
+    f(5.0e4)
+    again = build_approximant("integral", freqs, f=f, r=path.r)
+    assert f.piece_requests == 3
+    assert again.coeffs == first.coeffs
+    cos_baseline(f, 20)
+    assert f.piece_requests == 4
+
+
+def test_coefficient_memos_do_not_keep_functions_alive():
+    data = data_points(3, path_decomposition(passes=10))
+    f = nearest_distance()
+    coeff_sum(K00, f, data)
+    coeff_integral(K00, f, data.r)
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
 
 
 def test_coeff_sum_basics():

@@ -201,6 +201,10 @@ def test_equality_and_hash_across_types():
     assert QTau(3) == ZTau(3, 0)
     assert hash(ZTau(1, 2)) == hash(ZTau(1, 2))
     assert ZTau(1, 2) != ZTau(2, 1)
+    # equal values hash alike, so rational elements mix with int/Fraction in sets
+    assert 3 in {ZTau(3, 0)}
+    assert Fraction(1, 2) in {QTau(Fraction(1, 2))}
+    assert QTau(3) in {3} and ZTau(3, 0) in {QTau(3)}
 
 
 def test_mixed_operands_leave_the_ring():
@@ -241,6 +245,8 @@ _fracs = st.fractions(-10**4, 10**4, max_denominator=60)
 _operands = st.one_of(
     st.builds(ZTau, _ints, _ints),
     st.builds(QTau, _fracs, _fracs),
+    st.builds(ZTau, _ints),
+    st.builds(QTau, _fracs),
     _ints,
     _fracs,
 )
@@ -262,6 +268,12 @@ def test_mixed_operand_arithmetic_matches_pair_model(x, y):
         assert type(got) is (ZTau if integral else QTau)
         assert (got.a, got.b) == pair
     assert (x == y) == (px == py)
+    if x == y:
+        assert hash(x) == hash(y)
+    for v, p in ((x, px), (y, py)):
+        if p[1] == 0:
+            # a rational element equals its int/Fraction value and must hash like it
+            assert v == p[0] and hash(v) == hash(p[0]) and p[0] in {v}
     assert (x < y) == (_ref_value(px) < _ref_value(py))
     for v, p in ((x, px), (y, py)):
         if isinstance(v, QTau):

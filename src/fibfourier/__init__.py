@@ -41,7 +41,6 @@ from .fibonacci import (
     constant,
     interval_sign,
     nearest_distance,
-    point_sets_close,
     substitution_points,
     torus_lift,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "interval_sign",
     "nearest_distance",
     "path_decomposition",
-    "point_sets_close",
     "refinement_reps",
     "strip_projection_oracle",
     "substitution_points",

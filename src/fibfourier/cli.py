@@ -32,15 +32,7 @@ from .discretize import (
     error_estimate,
     path_decomposition,
 )
-from .fibonacci import (
-    INTERVAL,
-    NEAREST,
-    LocalFunction,
-    TorusLift,
-    interval_sign,
-    nearest_distance,
-    torus_lift,
-)
+from .fibonacci import LocalFunction, TorusLift, interval_sign, nearest_distance
 from .fourier import (
     Approximant,
     Coefficient,
@@ -190,10 +182,6 @@ def _function(name: str, window: AnyWindow | None = None) -> LocalFunction:
     return nearest_distance(window) if name == "nearest" else interval_sign(window)
 
 
-def _lift(name: str) -> TorusLift:
-    return torus_lift(NEAREST if name == "nearest" else INTERVAL)
-
-
 Report = tuple[dict[str, object], Sequence[str], list[Sequence[object]]]
 
 
@@ -211,7 +199,7 @@ def _approximants(
     aps = []
     for estimator in estimators:
         if estimator == "exact":
-            lift = _lift(function)
+            lift = TorusLift(f.rule, window)
             coeffs = [Coefficient(k, coeff_exact(k, lift)) for k in freqs]
         elif estimator == "integral":
             assert path is not None
@@ -259,8 +247,6 @@ def cmd_coeffs(cfg: RunConfig) -> Report:
     estimators = [cfg.estimator] if cfg.estimator != "all" else list(_ESTIMATORS)
     path = _resolve_path(cfg) if estimators != ["exact"] else None
     window = parse_window(cfg.window)
-    if "exact" in estimators and cfg.window != "default":
-        raise ValueError("the exact estimator supports the default window only")
     _, aps = _approximants(estimators, cfg.n, cfg.function, path, window)
     rows = [
         (c.k.half_a, c.k.half_b, _fmt(c.k.value), _fmt(c.value.real), _fmt(c.value.imag), ap.kind)
@@ -324,11 +310,12 @@ def cmd_singularity(cfg: RunConfig) -> Report:
 
 def cmd_error_bound(cfg: RunConfig) -> Report:
     path = _resolve_path(cfg, default_passes=17)
-    lift = _lift(cfg.function)
+    f = _function(cfg.function)
+    lift = TorusLift(f.rule)
     est = error_estimate(lift, cfg.n, path)
     exact = lift.cell_integral()
     cell_err = abs(exact - cell_quadrature(lift, cfg.n))
-    pipe_err = abs(exact - data_quadrature(_function(cfg.function), data_points(cfg.n, path)))
+    pipe_err = abs(exact - data_quadrature(f, data_points(cfg.n, path)))
     row = (
         _fmt(est.eps_n),
         _fmt(est.eps_n_prime),

@@ -1,28 +1,30 @@
 """The Fibonacci point set, reference local functions on it, and their
 periodic lifts to the scheme torus.
 
-Two bounded functions determined by the local tile pattern are provided:
+A local function is given by one tile rule: its linear pieces on a tile
+[p, q) of type "long" (length tau) or "short" (length 1).  Two are provided:
 
 * nearest_distance: t -> distance from t to the point set (tent over each
   tile, peak half the tile length);
 * interval_sign: t -> +1 on long tiles, -1 on short tiles (value at a point
   is that of the tile starting there).
 
-Each lifts to a function on the torus supported on two rectangles, one per
-tile type: the short-tile rectangle [-1, 0) x (-1/tau, 0] and the long-tile
-rectangle [0, tau) x (-1/tau, 1/tau^2].  Restricted to the line (t, 0) the
-lift reproduces the local function.
+The same rule defines the lift to the torus, supported on two rectangles,
+one per tile type: for the default window the short-tile rectangle
+[-1, 0) x (-1/tau, 0] and the long-tile rectangle [0, tau) x (-1/tau, 1/tau^2],
+each carrying the rule on its tile.  A window of length tau moved by s moves
+both rectangles by -s in the internal direction.  Restricted to the line
+(t, 0) the lift reproduces the local function.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple
 
 from .cutproject import (
     AnyWindow,
-    ModelPoint,
     ModelSetSlice,
     Window,
     enumerate_model_set,
@@ -84,8 +86,8 @@ class PointContext:
 
 
 LinearPiece = tuple[float, float, float, float]  # (x0, x1, const, slope)
-#: the pieces of a local function on one tile [p, q)
-TileRule = Callable[[ModelPoint, ModelPoint], list[LinearPiece]]
+#: the pieces of a local function on one tile [p, q) of type "long" or "short"
+TileRule = Callable[[float, float, str], list[LinearPiece]]
 
 
 class LocalFunction:
@@ -108,7 +110,9 @@ class LocalFunction:
         s = self.context.ensure(lo - _PAD / 2, hi + _PAD / 2)
         if s is not self._slice:
             pts = s.points
-            self._pieces = [piece for p, q in zip(pts, pts[1:]) for piece in self.rule(p, q)]
+            self._pieces = [
+                piece for p, q in zip(pts, pts[1:]) for piece in self.rule(p.value, q.value, p.tile)
+            ]
             self._starts = [piece[0] for piece in self._pieces]
             self._slice = s
         return self._pieces, self._starts
@@ -138,13 +142,13 @@ class LocalFunction:
         return out
 
 
-def _tent(p: ModelPoint, q: ModelPoint) -> list[LinearPiece]:
-    mid = 0.5 * (p.value + q.value)
-    return [(p.value, mid, -p.value, 1.0), (mid, q.value, q.value, -1.0)]
+def _tent(p: float, q: float, tile: str) -> list[LinearPiece]:
+    mid = 0.5 * (p + q)
+    return [(p, mid, -p, 1.0), (mid, q, q, -1.0)]
 
 
-def _step(p: ModelPoint, q: ModelPoint) -> list[LinearPiece]:
-    return [(p.value, q.value, 1.0 if p.tile == "long" else -1.0, 0.0)]
+def _step(p: float, q: float, tile: str) -> list[LinearPiece]:
+    return [(p, q, 1.0 if tile == "long" else -1.0, 0.0)]
 
 
 def nearest_distance(window: AnyWindow | None = None) -> LocalFunction:
@@ -156,44 +160,64 @@ def interval_sign(window: AnyWindow | None = None) -> LocalFunction:
 
 
 def constant(c: float) -> LocalFunction:
-    return LocalFunction(lambda p, q: [(p.value, q.value, c, 0.0)])
+    return LocalFunction(lambda p, q, tile: [(p, q, c, 0.0)])
+
+
+class Support(NamedTuple):
+    """One support rectangle of a lift: its chart box (x0, x1, y0, y1) and
+    the tile rule's pieces on it, read relative to the tile midpoint `mid`
+    (a piece (u0, u1, c, m) gives c + m*(x - mid) for mid + u0 <= x < mid + u1)."""
+
+    rect: tuple[float, float, float, float]
+    mid: float
+    pieces: list[LinearPiece]
 
 
 class TorusLift:
-    """Periodic lift of a local function, supported on two rectangles.
+    """Periodic lift of a local function to the scheme torus.
 
-    `short` and `long` give the value at chart abscissa x on the short- and
-    long-tile rectangle; `integral` is the integral over the fundamental
-    cell (unnormalized), returned by cell_integral().
+    The lift is the tile rule read on the torus: it is supported on one
+    rectangle per tile type, and on each it is the rule on a tile of that
+    type centred at the origin, moved to the rectangle's midpoint.  Moving
+    the window by s moves both rectangles by -s in the internal direction.
+    Only exact windows of length tau are taken: other lengths give other
+    tiles, and a float window has no exact shift.
     """
 
-    #: (x0, x1, y0, y1) of the supporting rectangles in the chart
+    #: (x0, x1, y0, y1) of the supporting rectangles for the default window
     SHORT_RECT = (-1.0, 0.0, -INV_TAU, 0.0)
     LONG_RECT = (0.0, TAU, -INV_TAU, INV_TAU2)
 
-    def __init__(
-        self,
-        descriptor: str,
-        short: Callable[[float], float],
-        long: Callable[[float], float],
-        integral: float,
-    ) -> None:
-        self.descriptor = descriptor
-        self.short = short
-        self.long = long
-        self._integral = integral
+    def __init__(self, rule: TileRule, window: AnyWindow | None = None) -> None:
+        default = Window.default()
+        if window is None:
+            window = default
+        if not isinstance(window, Window) or window.length() != default.length():
+            raise ValueError("a torus lift needs an exact window of length tau")
+        s = self._shift = (window.lo - default.lo).value
+        supports = []
+        for (x0, x1, y0, y1), tile in ((self.SHORT_RECT, "short"), (self.LONG_RECT, "long")):
+            half = 0.5 * (x1 - x0)
+            pieces = rule(-half, half, tile)
+            supports.append(Support((x0, x1, y0 - s, y1 - s), 0.5 * (x0 + x1), pieces))
+        self.supports = tuple(supports)
+        # (mid, inner piece ends, pieces) per rectangle for evaluate_torus
+        self._short, self._long = (
+            (sup.mid, [p[1] for p in sup.pieces[:-1]], sup.pieces) for sup in supports
+        )
 
     @classmethod
     def constant(cls, c: float) -> TorusLift:
-        return cls("user", lambda x: c, lambda x: c, c * SQRT5)  # cell area is sqrt5
+        return cls(constant(c).rule)
 
     @property
     def rectangles(self) -> tuple[tuple[float, float, float, float], ...]:
-        return (self.SHORT_RECT, self.LONG_RECT)
+        return tuple(sup.rect for sup in self.supports)
 
     def evaluate_torus(self, x: float, y: float) -> float:
         """Value at any plane point, reduced modulo the scheme lattice.
 
+        The reduction runs on the default window's rectangles at (x, y + s).
         The copy of the support at lattice point a + b*tau that holds (x, y)
         lies in column b = floor((x - y)/sqrt5) or the next one; in column b
         the internal condition y - a - b*tau' in (-1/tau, 1/tau^2] fixes a,
@@ -201,12 +225,16 @@ class TorusLift:
         comparison per column leaves no seam for rounding to open, but the
         reduced coordinates carry an error that grows with ulp(|x|).
         """
+        y += self._shift
         b0 = math.floor((x - y) / SQRT5)
         for b in (b0, b0 + 1):
             a = math.ceil(y - b * TAU_STAR - INV_TAU2)
             xx = x - a - b * TAU
             if xx < TAU:
-                return self.long(xx) if xx >= 0.0 else self.short(xx)
+                mid, ends, pieces = self._long if xx >= 0.0 else self._short
+                u = xx - mid
+                _, _, c, m = pieces[bisect_right(ends, u)]
+                return c + m * u
         raise RuntimeError(f"torus reduction failed for ({x}, {y})")
 
     def on_line(self, t: float) -> float:
@@ -214,54 +242,15 @@ class TorusLift:
 
     def cell_integral(self) -> float:
         """Integral over the fundamental cell (unnormalized)."""
-        return self._integral
-
-
-#: descriptor -> (short-rectangle value, long-rectangle value, cell integral)
-_LIFTS: dict[str, tuple[Callable[[float], float], Callable[[float], float], float]] = {
-    # tents peaking at half the tile length; their areas are (1/4)*height(1/tau)
-    # on the short rectangle and (tau^2/4)*height(1) on the long one
-    NEAREST: (
-        lambda x: 0.5 - abs(x + 0.5),
-        lambda x: TAU / 2.0 - abs(x - TAU / 2.0),
-        0.25 * INV_TAU + 0.25 * TAU * TAU,
-    ),
-    INTERVAL: (lambda x: -1.0, lambda x: 1.0, TAU - INV_TAU),
-}
+        return sum(
+            (y1 - y0) * sum((c + m * (0.5 * (u0 + u1))) * (u1 - u0) for u0, u1, c, m in pieces)
+            for (_, _, y0, y1), _, pieces in self.supports
+        )
 
 
 def torus_lift(descriptor: str) -> TorusLift:
-    if descriptor not in _LIFTS:
+    """The lift of a built-in function on the default window."""
+    rules = {NEAREST: _tent, INTERVAL: _step}
+    if descriptor not in rules:
         raise ValueError(f"unknown lift descriptor {descriptor!r}")
-    return TorusLift(descriptor, *_LIFTS[descriptor])
-
-
-def point_sets_close(
-    p: Sequence[float], q: Sequence[float], r: float, eps: float
-) -> bool:
-    """Whether two point sets agree to within eps on [-r, r].
-
-    Both inputs must cover [-r - eps, r + eps]; every point of either set
-    inside [-r, r] must be within eps of a point of the other.
-    """
-    ps = sorted(p)
-    qs = sorted(q)
-    for s in (ps, qs):
-        if not s or s[0] > -r - eps or s[-1] < r + eps:
-            raise ValueError("point list does not cover [-r-eps, r+eps]")
-
-    def one_sided(a: list[float], b: list[float]) -> bool:
-        for x in a:
-            if x < -r or x > r:
-                continue
-            i = bisect_right(b, x)
-            near = []
-            if i > 0:
-                near.append(abs(x - b[i - 1]))
-            if i < len(b):
-                near.append(abs(b[i] - x))
-            if min(near) > eps:
-                return False
-        return True
-
-    return one_sided(ps, qs) and one_sided(qs, ps)
+    return TorusLift(rules[descriptor])

@@ -4,23 +4,28 @@ A local function f on the Fibonacci set expands over the dual frequencies
 k in (1/2)Z[tau] as f(t) = sum_k a_k exp(2 pi i 2 DELTA k t).  Three
 estimators for a_k are provided:
 
-* exact: the closed-form integral of the lift against
-  exp(-4 pi i (k x DELTA + k' y DELTA_STAR)) over its two support
-  rectangles, divided by sqrt5 (separable, so products of interval
-  transforms of boxes and tents);
+* exact: the closed-form integral of any lift against
+  exp(-4 pi i (k x DELTA + k' y DELTA_STAR)) over its support rectangles,
+  divided by sqrt5; on each rectangle the lift is the tile rule, so the
+  integral is the transform of the rule's linear pieces times that of the
+  rectangle's internal extent;
 * integral: the line average (1/R) int_0^R f(t) exp(-2 pi i 2 DELTA k t) dt,
   evaluated piecewise exactly since f is piecewise linear;
 * sum: the data-point average (1/N^2) sum_j f(u_j) exp(-2 pi i 2 DELTA k u_j).
 
-The integral and sum estimators stay one call per frequency, but the work
-that depends only on the function is done once: the sum reads f at each data
-point once per DataPointSet (DataPointSet.samples), and the integral reads
-the pieces over [lo, hi] once per function and range, as rows (mid, half,
-A, B) that each frequency then walks.  A frequency costs one complex
-exponential per data point (sum) or one sine, cosine and complex exponential
-per piece (integral).  Both memos are keyed weakly by the function, so they
-vanish with it, and the row memo keeps only the last range.  Every sum adds the same terms in the same order as the
-one-term-at-a-time formulas, so the coefficients are bit-identical to them.
+One per-piece transform (_transform, over rows (mid, half, A, B) of linear
+pieces) serves line integrals, the lift's pieces and the rectangles'
+internal extents (one constant piece each).  The estimators stay one call
+per frequency, but the work that depends only on the function is done once:
+the exact estimator takes a lift's rows once per lift, the sum reads f at
+each data point once per DataPointSet (DataPointSet.samples), and the
+integral reads the pieces over [lo, hi] once per function and range, as rows
+that each frequency then walks.  A frequency costs one complex exponential
+per data point (sum) or one sine, cosine and complex exponential per piece
+(integral, exact).  The memos are keyed weakly by the function or lift, so
+they vanish with it, and a function's row memo keeps only its last range.
+Every sum adds the same terms in the same order as the one-term-at-a-time
+formulas, so the coefficients are bit-identical to them.
 
 A periodic cosine baseline fitted on [0, 2] is included for comparison:
 a_j = (1/2) int_0^2 f(x) cos(j pi x / 2) dx for every j including j = 0,
@@ -33,12 +38,12 @@ import cmath
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .cutproject import Frequency, FrequencySet
 from .discretize import DataPointSet
-from .fibonacci import INTERVAL, INV_TAU, INV_TAU2, NEAREST, LocalFunction, TorusLift
-from .ztau import DELTA, DELTA_STAR, SQRT5, TAU
+from .fibonacci import LinearPiece, LocalFunction, TorusLift
+from .ztau import DELTA, DELTA_STAR, SQRT5
 
 _TWO_PI = 2.0 * math.pi
 
@@ -47,68 +52,33 @@ _PieceRow = tuple[float, float, float, complex]  # (mid, half, A, B)
 _ROWS: weakref.WeakKeyDictionary[LocalFunction, tuple[float, float, list[_PieceRow]]] = (
     weakref.WeakKeyDictionary()
 )
+#: per live lift, the rows of its support rectangles
+_LIFT_ROWS: weakref.WeakKeyDictionary[
+    TorusLift, list[tuple[float, list[_PieceRow], list[_PieceRow]]]
+] = weakref.WeakKeyDictionary()
 
 
-def _sinc(z: float) -> float:
-    if abs(z) < 1e-12:
-        return 1.0
-    return math.sin(z) / z
+def _rows(pieces: Iterable[LinearPiece]) -> list[_PieceRow]:
+    """Pieces (x0, x1, c, m) as rows (mid, half, A, B) for _transform."""
+    rows = []
+    for x0, x1, c, m in pieces:
+        mid = 0.5 * (x0 + x1)
+        half = 0.5 * (x1 - x0)
+        rows.append((mid, half, (c + m * mid) * 2.0 * half, 2.0j * m * half * half))
+    return rows
 
 
-def _box_transform(y0: float, y1: float, w: float) -> complex:
-    """int_{y0}^{y1} exp(i w y) dy, stable for all w."""
-    d = y1 - y0
-    return d * _sinc(0.5 * w * d) * cmath.exp(0.5j * w * (y0 + y1))
+def _transform(rows: list[_PieceRow], w: float) -> complex:
+    """int (c + m x) exp(-i w x) dx summed over the pieces given as rows.
 
-
-def _tent_transform(length: float, w: float) -> complex:
-    """int_0^L tent(x) exp(i w x) dx for the tent peaking at L/2."""
-    s = _sinc(0.25 * w * length)
-    return 0.25 * length * length * s * s * cmath.exp(0.5j * w * length)
-
-
-def coeff_exact(k: Frequency, lift: TorusLift) -> complex:
-    """Closed-form coefficient of a built-in lift."""
-    wx = -2.0 * _TWO_PI * DELTA * k.value
-    wy = -2.0 * _TWO_PI * DELTA_STAR * k.value_star
-    y_short = _box_transform(-INV_TAU, 0.0, wy)
-    y_long = _box_transform(-INV_TAU, INV_TAU2, wy)
-    if lift.descriptor == NEAREST:
-        x_short = cmath.exp(-1j * wx) * _tent_transform(1.0, wx)
-        x_long = _tent_transform(TAU, wx)
-    elif lift.descriptor == INTERVAL:
-        x_short = -_box_transform(-1.0, 0.0, wx)
-        x_long = _box_transform(0.0, TAU, wx)
-    else:
-        raise ValueError("closed-form coefficients need a built-in lift")
-    return (x_short * y_short + x_long * y_long) / SQRT5
-
-
-def _piece_rows(f: LocalFunction, lo: float, hi: float) -> list[_PieceRow]:
-    """The pieces of f clipped to [lo, hi] as rows (mid, half, A, B), taken
-    once per function and range."""
-    memo = _ROWS.get(f)
-    if memo is None or memo[0] != lo or memo[1] != hi:
-        rows = []
-        for x0, x1, c, m in f.linear_pieces(lo, hi):
-            mid = 0.5 * (x0 + x1)
-            half = 0.5 * (x1 - x0)
-            rows.append((mid, half, (c + m * mid) * 2.0 * half, 2.0j * m * half * half))
-        memo = _ROWS[f] = (lo, hi, rows)
-    return memo[2]
-
-
-def line_integral(f: LocalFunction, w: float, lo: float, hi: float) -> complex:
-    """int_lo^hi f(x) exp(-i w x) dx, exact on the piecewise-linear parts.
-
-    Per piece, int (c + m x) exp(-i w x) dx over mid +- half is
+    Per piece, the integral over mid +- half is
     (A sinc(z) - B h(z)) exp(-i w mid) with z = w*half,
     h(z) = (sin z - z cos z)/z^2 (series z/3 - z^3/30 near 0).
     """
     sin, cos, exp = math.sin, math.cos, cmath.exp
     nw = -1j * w
     terms = []
-    for mid, half, a, b in _piece_rows(f, lo, hi):
+    for mid, half, a, b in rows:
         z = w * half
         if abs(z) < 1e-4:
             sinc = 1.0 if abs(z) < 1e-12 else sin(z) / z
@@ -119,6 +89,52 @@ def line_integral(f: LocalFunction, w: float, lo: float, hi: float) -> complex:
             h = (s - z * cos(z)) / (z * z)
         terms.append((a * sinc - b * h) * exp(nw * mid))
     return sum(terms, start=0j)
+
+
+def _lift_rows(lift: TorusLift) -> list[tuple[float, list[_PieceRow], list[_PieceRow]]]:
+    """Per support rectangle of the lift, its midpoint abscissa, the rows of
+    the rule's centred pieces and the row of the internal extent (a constant
+    piece), taken once per lift."""
+    rows = _LIFT_ROWS.get(lift)
+    if rows is None:
+        rows = _LIFT_ROWS[lift] = [
+            (sup.mid, _rows(sup.pieces), _rows([(sup.rect[2], sup.rect[3], 1.0, 0.0)]))
+            for sup in lift.supports
+        ]
+    return rows
+
+
+def coeff_exact(k: Frequency, lift: TorusLift) -> complex:
+    """Closed-form coefficient of any lift.
+
+    The integral of the lift against exp(-4 pi i (k x DELTA + k' y DELTA_STAR))
+    over each support rectangle is the x-transform of the rule's pieces,
+    centred on the tile and moved to the rectangle's midpoint by a phase,
+    times the y-transform of the rectangle's internal extent; the sum over
+    the rectangles is divided by sqrt5, the cell area.
+    """
+    wx = 2.0 * _TWO_PI * DELTA * k.value
+    wy = 2.0 * _TWO_PI * DELTA_STAR * k.value_star
+    nwx = -1j * wx
+    terms = [
+        cmath.exp(nwx * mid) * _transform(x_rows, wx) * _transform(y_rows, wy)
+        for mid, x_rows, y_rows in _lift_rows(lift)
+    ]
+    return sum(terms, start=0j) / SQRT5
+
+
+def _piece_rows(f: LocalFunction, lo: float, hi: float) -> list[_PieceRow]:
+    """The pieces of f clipped to [lo, hi] as rows (mid, half, A, B), taken
+    once per function and range."""
+    memo = _ROWS.get(f)
+    if memo is None or memo[0] != lo or memo[1] != hi:
+        memo = _ROWS[f] = (lo, hi, _rows(f.linear_pieces(lo, hi)))
+    return memo[2]
+
+
+def line_integral(f: LocalFunction, w: float, lo: float, hi: float) -> complex:
+    """int_lo^hi f(x) exp(-i w x) dx, exact on the piecewise-linear parts."""
+    return _transform(_piece_rows(f, lo, hi), w)
 
 
 def coeff_integral(k: Frequency, f: LocalFunction, r: float) -> complex:

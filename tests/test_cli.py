@@ -11,7 +11,14 @@ import pytest
 import fibfourier.cli as cli
 from fibfourier import __version__
 from fibfourier.cli import main, parse_grid, parse_window
-from fibfourier.cutproject import ApproxWindow, Window, enumerate_model_set
+from fibfourier.cutproject import (
+    ApproxWindow,
+    Window,
+    enumerate_model_set,
+    frequency_representatives,
+)
+from fibfourier.fibonacci import TorusLift, nearest_distance
+from fibfourier.fourier import coeff_exact
 from fibfourier.ztau import ArithmeticCapacityError, QTau, TAU
 
 T2_F = [0.8065, 0.4033, 0.3262, 0.0, 0.0, 0.0, 0.25, 0.5, 0.0,
@@ -171,8 +178,8 @@ def test_deterministic_output_files(tmp_path, capsys):
         (["compare", "--grid", "15:0:10"], "grid needs lo < hi and count >= 2"),
         (["compare", "--grid", "0:15:x"], "bad grid '0:15:x'"),
         (["frequencies", "--n", "0"], "--n must be >= 1"),
-        (["coeffs", "--n", "3", "--window", "shifted"],
-         "the exact estimator supports the default window only"),
+        (["coeffs", "--n", "3", "--window=-0.9:0.7"],
+         "a torus lift needs an exact window of length tau"),
     ],
     ids=["window", "lo-above-hi", "grid-order", "grid-count", "n-zero", "exact-window"],
 )
@@ -300,10 +307,24 @@ def test_coeffs_all_estimators(capsys):
 
 def test_coeffs_exact_rejects_other_windows(capsys):
     rc, _, err = run_cli(
-        ["coeffs", "--n", "3", "--estimator", "exact", "--window", "shifted"], capsys
+        ["coeffs", "--n", "3", "--estimator", "exact", "--window=-0.9:0.7"], capsys
     )
     assert rc == 1
-    assert "default window" in err
+    assert "exact window of length tau" in err
+
+
+def test_coeffs_exact_on_shifted_window(capsys):
+    rc, out, _ = run_cli(
+        ["coeffs", "--n", "3", "--estimator", "exact", "--window", "shifted"], capsys
+    )
+    assert rc == 0
+    _, _, _, rows = parse_report(out)
+    assert len(rows) == 9
+    window = Window.default().shifted(QTau(Fraction(1, 2)))
+    lift = TorusLift(nearest_distance().rule, window)
+    for row, k in zip(rows, frequency_representatives(3)):
+        value = coeff_exact(k, lift)
+        assert (row[3], row[4]) == (format(value.real, ".12g"), format(value.imag, ".12g"))
 
 
 def test_coeffs_integral_requires_path(capsys):

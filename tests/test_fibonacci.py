@@ -17,7 +17,6 @@ from fibfourier.fibonacci import (
     constant,
     nearest_distance,
     interval_sign,
-    point_sets_close,
     substitution_points,
     substitution_word,
     torus_lift,
@@ -251,6 +250,76 @@ def test_lift_precision_far_from_origin():
         assert abs(lift.on_line(t) - nearest_distance()(t)) <= 1e-8
 
 
+_SHIFTED = Window.default().shifted(QTau(Fraction(1, 2)))
+
+
+def test_lift_on_shifted_window_restricts_to_line():
+    # the shifted window moves the support rectangles by -1/2 internally;
+    # moving them by +1/2 instead fails this check
+    grid = [-600.0 + 2600.0 * i / 40_000 for i in range(40_001)]
+    points = [p.value for p in enumerate_model_set(_SHIFTED, -600.0, 2000.0).points]
+    mids = [0.5 * (p + q) for p, q in zip(points, points[1:])]
+    for f, ts in (
+        (nearest_distance(_SHIFTED), grid + mids + points),
+        (interval_sign(_SHIFTED), grid + mids),
+    ):
+        lift = TorusLift(f.rule, _SHIFTED)
+        bad = [t for t in ts if abs(lift.on_line(t) - f(t)) > 1e-9]
+        assert bad == []
+
+
+@pytest.mark.parametrize(
+    "window",
+    [ApproxWindow(-0.9, 0.7), ApproxWindow(-1.0, TAU - 1.0), Window(QTau(-1), QTau(1))],
+    ids=["approx", "approx-tau", "exact-length-2"],
+)
+def test_lift_refuses_other_windows(window):
+    with pytest.raises(ValueError, match="exact window of length tau"):
+        TorusLift(nearest_distance().rule, window)
+
+
+# the lifts as written out by hand before they were derived from the tile
+# rules: per rectangle value functions and the cell integrals
+_SEED_LIFTS = {
+    NEAREST: (
+        lambda x: 0.5 - abs(x + 0.5),
+        lambda x: TAU / 2.0 - abs(x - TAU / 2.0),
+        0.25 * INV_TAU + 0.25 * TAU * TAU,
+    ),
+    INTERVAL: (lambda x: -1.0, lambda x: 1.0, TAU - INV_TAU),
+}
+
+
+def _seed_evaluate_torus(descriptor, x, y):
+    short, long, _ = _SEED_LIFTS[descriptor]
+    b0 = math.floor((x - y) / math.sqrt(5.0))
+    for b in (b0, b0 + 1):
+        a = math.ceil(y - b * TAU_STAR - INV_TAU2)
+        xx = x - a - b * TAU
+        if xx < TAU:
+            return long(xx) if xx >= 0.0 else short(xx)
+    raise AssertionError("no copy holds the point")
+
+
+def test_lift_matches_seed_formulas_bitwise():
+    rng = random.Random(73)
+    plane = [(rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)) for _ in range(20_000)]
+    line = [(-600.0 + 2600.0 * i / 20_000, 0.0) for i in range(20_001)]
+    # rectangle corners and tile midpoints, shifted by lattice points
+    corners = [
+        (x + a + b * TAU, y + a + b * TAU_STAR)
+        for x in (-1.0, -0.5, 0.0, 0.5 * TAU, TAU)
+        for y in (-INV_TAU, 0.0, INV_TAU2)
+        for a in range(-5, 6)
+        for b in range(-5, 6)
+    ]
+    for descriptor in (NEAREST, INTERVAL):
+        lift = torus_lift(descriptor)
+        assert lift.cell_integral() == _SEED_LIFTS[descriptor][2]
+        for x, y in plane + line + corners:
+            assert lift.evaluate_torus(x, y) == _seed_evaluate_torus(descriptor, x, y), (x, y)
+
+
 def test_cell_integrals():
     near = torus_lift(NEAREST)
     # quarter of short area-average plus long part: (tau^2 + 1/tau)/4
@@ -268,30 +337,3 @@ def test_line_average_matches_cell_average():
     f = nearest_distance()
     avg = line_integral(f, 0.0, 0.0, 1.0e4).real / 1.0e4
     assert avg == pytest.approx(0.3618, abs=2e-3)
-
-
-def test_point_sets_close_basics():
-    sl = enumerate_model_set(Window.default(), -40.0, 40.0)
-    vals = sl.values
-    assert point_sets_close(vals, list(vals), r=30.0, eps=1e-9)
-    shifted = [v + 0.05 for v in vals]
-    assert point_sets_close(vals, shifted, r=30.0, eps=0.2)
-    assert not point_sets_close(vals, shifted, r=30.0, eps=0.01)
-
-
-def test_point_sets_close_detects_singular_difference():
-    default = enumerate_model_set(Window.default(), -40.0, 40.0).values
-    alternate = enumerate_model_set(
-        Window(QTau(-1), QTau(-1, 1), includes_lo=False, includes_hi=True),
-        -40.0,
-        40.0,
-    ).values
-    assert not point_sets_close(default, alternate, r=10.0, eps=1e-6)
-    # with a coarse eps the two singular sets agree: the mismatch at -1
-    # versus -tau is within 0.7
-    assert point_sets_close(default, alternate, r=10.0, eps=0.7)
-
-
-def test_point_sets_close_requires_coverage():
-    with pytest.raises(ValueError):
-        point_sets_close([0.0, 1.0], [0.0, 1.0], r=10.0, eps=0.1)

@@ -5,6 +5,7 @@ import gc
 import math
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 from scipy.integrate import quad
@@ -57,12 +58,25 @@ def test_coeff_exact_reference_rows():
     assert v.imag == pytest.approx(-0.0367, abs=2e-4)
 
 
-def test_coeff_exact_rejects_user_lift():
-    with pytest.raises(ValueError):
-        coeff_exact(K00, TorusLift.constant(1.0))
+def test_coeff_exact_of_constant_lift():
+    # the constant's two rectangles tile a cell, so only the mean survives
+    lift = TorusLift.constant(3.0)
+    assert coeff_exact(K00, lift) == 3.0
+    for k in frequency_representatives(27):
+        if k != K00:
+            assert abs(coeff_exact(k, lift)) <= 1e-14, k
 
 
-@pytest.mark.parametrize("lift", [NEAR_LIFT, INT_LIFT], ids=["nearest", "interval"])
+SHIFTED = Window.default().shifted(QTau(Fraction(1, 2)))
+NEAR_SHIFTED = TorusLift(nearest_distance().rule, SHIFTED)
+INT_SHIFTED = TorusLift(interval_sign().rule, SHIFTED)
+
+
+@pytest.mark.parametrize(
+    "lift",
+    [NEAR_LIFT, INT_LIFT, NEAR_SHIFTED, INT_SHIFTED],
+    ids=["nearest", "interval", "nearest-shifted", "interval-shifted"],
+)
 @pytest.mark.parametrize("ka,kb", [(0, 1), (1, 1), (1, 0), (2, -1)])
 def test_coeff_exact_against_adaptive_quadrature(lift, ka, kb):
     """Closed forms vs scipy's adaptive quadrature on the support rectangles.
@@ -88,6 +102,59 @@ def test_coeff_exact_against_adaptive_quadrature(lift, ka, kb):
         yi = quad(lambda y: -math.sin(wy * y), y0, y1, **opts)[0]
         total += complex(xr, xi) * complex(yr, yi)
     assert coeff_exact(k, lift) == pytest.approx(total / SQRT5, abs=1e-9)
+
+
+@pytest.mark.parametrize("make", [nearest_distance, interval_sign], ids=["nearest", "interval"])
+def test_coeff_exact_on_shifted_window_matches_line_average(make):
+    # the shift enters through the rectangles' internal extents; with the
+    # opposite sign the worst error is 0.17 (nearest) and 0.67 (interval)
+    f = make(SHIFTED)
+    lift = TorusLift(f.rule, SHIFTED)
+    worst = max(
+        abs(coeff_exact(k, lift) - coeff_integral(k, f, 4000.0))
+        for k in frequency_representatives(5)
+    )
+    assert worst <= 2e-3
+
+
+def _seed_sinc(z):
+    return 1.0 if abs(z) < 1e-12 else math.sin(z) / z
+
+
+def _seed_box_transform(y0, y1, w):
+    d = y1 - y0
+    return d * _seed_sinc(0.5 * w * d) * cmath.exp(0.5j * w * (y0 + y1))
+
+
+def _seed_tent_transform(length, w):
+    s = _seed_sinc(0.25 * w * length)
+    return 0.25 * length * length * s * s * cmath.exp(0.5j * w * length)
+
+
+def _seed_coeff_exact(k, descriptor):
+    """The closed forms as written out per built-in lift before the
+    coefficients were derived from the tile rules."""
+    inv_tau = 1.0 / TAU
+    wx = -2.0 * (2.0 * math.pi) * DELTA * k.value
+    wy = -2.0 * (2.0 * math.pi) * DELTA_STAR * k.value_star
+    y_short = _seed_box_transform(-inv_tau, 0.0, wy)
+    y_long = _seed_box_transform(-inv_tau, 1.0 / (TAU * TAU), wy)
+    if descriptor == NEAREST:
+        x_short = cmath.exp(-1j * wx) * _seed_tent_transform(1.0, wx)
+        x_long = _seed_tent_transform(TAU, wx)
+    else:
+        x_short = -_seed_box_transform(-1.0, 0.0, wx)
+        x_long = _seed_box_transform(0.0, TAU, wx)
+    return (x_short * y_short + x_long * y_long) / SQRT5
+
+
+def test_coeff_exact_matches_seed_transforms():
+    # interval pieces are single constants, so the row walk reproduces the
+    # box transforms bit for bit; the two tent pieces are summed where the
+    # seed squared a sinc, which moves the last bits
+    for k in frequency_representatives(27):
+        assert coeff_exact(k, INT_LIFT) == _seed_coeff_exact(k, INTERVAL), k
+        assert abs(coeff_exact(k, NEAR_LIFT) - _seed_coeff_exact(k, NEAREST)) <= 1e-16, k
 
 
 def test_line_integral_against_adaptive_quadrature():
@@ -254,6 +321,16 @@ def test_coefficient_memos_do_not_keep_functions_alive():
     coeff_integral(K00, f, data.r)
     ref = weakref.ref(f)
     del f
+    gc.collect()
+    assert ref() is None
+
+
+def test_lift_row_memo_does_not_keep_lifts_alive():
+    lift = TorusLift(nearest_distance().rule)
+    first = coeff_exact(Frequency(1, 1), lift)
+    assert coeff_exact(Frequency(1, 1), lift) == first
+    ref = weakref.ref(lift)
+    del lift
     gc.collect()
     assert ref() is None
 

@@ -9,6 +9,7 @@ as deterministic CSV.
 """
 
 from .cutproject import (
+    POSITION_LIMIT,
     ApproxWindow,
     Frequency,
     FrequencySet,
@@ -87,6 +88,7 @@ __all__ = [
     "ModelSetSlice",
     "PathDecomposition",
     "PointContext",
+    "POSITION_LIMIT",
     "QTau",
     "SQRT5",
     "Segment",

@@ -34,6 +34,19 @@ log = logging.getLogger(__name__)
 
 _TAG_MARGIN = 4.0  # enumeration overshoot so every kept point has a successor
 
+#: positions are answered up to this magnitude (README, "Range"): beyond it
+#: the float error of a position grows past the stated precision
+POSITION_LIMIT = 1.0e9
+# an enumeration may reach this far past the limit, so a slice padded around
+# a query at the limit still takes in the tiles on both sides of it
+_LIMIT_REACH = 32.0
+
+
+def check_position(x: float, reach: float = 0.0) -> None:
+    """Refuse a position beyond POSITION_LIMIT (by more than `reach`)."""
+    if not abs(x) <= POSITION_LIMIT + reach:
+        raise ValueError(f"position {x!r} is beyond the limit {POSITION_LIMIT:g}")
+
 
 class Window:
     """Acceptance interval in internal space with exact Z[tau]-rational
@@ -159,9 +172,6 @@ class ModelPoint(NamedTuple):
 
 @dataclass
 class ModelSetSlice:
-    window: AnyWindow
-    range_lo: float
-    range_hi: float
     points: list[ModelPoint]
 
     @cached_property
@@ -210,6 +220,8 @@ def enumerate_model_set(window: AnyWindow, lo: float, hi: float) -> ModelSetSlic
     """All model-set points x with lo <= x <= hi, sorted, tagged by tile."""
     if not lo <= hi:
         raise ValueError("need lo <= hi")
+    check_position(lo, _LIMIT_REACH)
+    check_position(hi, _LIMIT_REACH)
     raw = _enumerate_raw(window, lo, hi + _TAG_MARGIN)
     points: list[ModelPoint] = []
     for i, (v, z) in enumerate(raw):
@@ -218,7 +230,7 @@ def enumerate_model_set(window: AnyWindow, lo: float, hi: float) -> ModelSetSlic
         if i + 1 >= len(raw):
             raise RuntimeError("enumeration margin exhausted")
         points.append(ModelPoint(v, z, _tile_tag(raw[i + 1][0] - v)))
-    return ModelSetSlice(window, lo, hi, points)
+    return ModelSetSlice(points)
 
 
 def torus_coords(t: float) -> tuple[float, float]:

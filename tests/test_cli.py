@@ -180,8 +180,21 @@ def test_deterministic_output_files(tmp_path, capsys):
         (["frequencies", "--n", "0"], "--n must be >= 1"),
         (["coeffs", "--n", "3", "--window=-0.9:0.7"],
          "a torus lift needs an exact window of length tau"),
+        (["points", "--lo", "2e9", "--hi", "2000000010"],
+         "position 2000000000.0 is beyond the limit 1e+09"),
+        (["compare", "--grid", "2e9:2000000015:10"],
+         "position 2000000000.0 is beyond the limit 1e+09"),
     ],
-    ids=["window", "lo-above-hi", "grid-order", "grid-count", "n-zero", "exact-window"],
+    ids=[
+        "window",
+        "lo-above-hi",
+        "grid-order",
+        "grid-count",
+        "n-zero",
+        "exact-window",
+        "points-beyond-limit",
+        "grid-beyond-limit",
+    ],
 )
 def test_usage_error_writes_no_file(argv, message, tmp_path, capsys):
     target = tmp_path / "out.csv"

@@ -3,11 +3,16 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fibfourier.cutproject import ApproxWindow, Window, enumerate_model_set
+from fibfourier import fibonacci
+from fibfourier.cutproject import POSITION_LIMIT, ApproxWindow, Window, enumerate_model_set
 from fibfourier.fibonacci import (
+    _PAD,
     INTERVAL,
     INV_TAU,
     INV_TAU2,
@@ -93,14 +98,44 @@ def test_nearest_distance_zeros_and_peaks():
 
 
 def test_local_function_far_from_origin():
-    # evaluation far outside the initially bracketed region extends the
-    # context transparently and stays pinned to the point set
+    # evaluation far outside the initially bracketed region stays pinned to
+    # the point set, and each query reads only the slice around it, so a far
+    # query after a near one costs what it would cost alone
     f = nearest_distance()
     far = substitution_points(2000)[-1]
     assert far.value > 1500.0
     assert f(far.value) == pytest.approx(0.0, abs=1e-12)
     assert f(-far.value) >= 0.0
     assert f(3.0) == pytest.approx(f(3.0), abs=0.0)
+    for t in (0.0, 2.0e5, 1.0e7, -1.0e9):
+        assert f(t) == nearest_distance()(t)
+        assert len(f.context.ensure(t, t)) <= 64
+
+
+def test_positions_beyond_the_limit_are_refused():
+    f = nearest_distance()
+    lift = torus_lift(NEAREST)
+    # every position up to the limit is answered, the context's pad included
+    for t in (-POSITION_LIMIT, POSITION_LIMIT):
+        assert abs(lift.on_line(t) - f(t)) <= 2e-7
+    assert f.linear_pieces(-POSITION_LIMIT, 1.0 - POSITION_LIMIT)[0][0] == -POSITION_LIMIT
+    assert f.linear_pieces(POSITION_LIMIT - 1.0, POSITION_LIMIT)[-1][1] == POSITION_LIMIT
+    beyond = math.nextafter(POSITION_LIMIT, math.inf)
+    refused = [
+        lambda: f(beyond),
+        lambda: f(-beyond),
+        lambda: f(math.nan),
+        lambda: f.linear_pieces(POSITION_LIMIT - 1.0, beyond),
+        lambda: lift.on_line(-beyond),
+        lambda: enumerate_model_set(Window.default(), 2.0e9, 2.0e9 + 10.0),
+        lambda: enumerate_model_set(Window.default(), -POSITION_LIMIT - 50.0, -POSITION_LIMIT),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match=r"beyond the limit 1e\+09"):
+            call()
+    # the torus evaluation itself is unchecked (its docstring states the
+    # precision)
+    assert lift.evaluate_torus(2.0 * beyond, 0.0) >= 0.0
 
 
 _WINDOWS = {
@@ -175,6 +210,45 @@ def test_linear_pieces_cover_interval(name, window_name):
     _check_cover(name, f, window, 0.0, 20.0)
 
 
+_queries = st.lists(
+    st.tuples(
+        st.floats(-1.0e6, 1.0e6),
+        st.one_of(st.none(), st.floats(1.0e-3, 50.0)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(["nearest", "interval"]),
+    st.sampled_from(sorted(_WINDOWS)),
+    _queries,
+)
+def test_answers_do_not_depend_on_query_history(name, window_name, queries):
+    # a point (width None) or an interval query on one function answers as
+    # a fresh function does, and enumerates only the slice around the query
+    window = _WINDOWS[window_name]
+    f = _MAKERS[name](window)
+    spans = []
+
+    def recording(w, lo, hi):
+        spans.append(hi - lo)
+        return enumerate_model_set(w, lo, hi)
+
+    for lo, width in queries:
+        fresh = _MAKERS[name](window)
+        spans.clear()
+        with mock.patch.object(fibonacci, "enumerate_model_set", recording):
+            if width is None:
+                assert f(lo) == fresh(lo)
+            else:
+                hi = lo + width
+                assert f.linear_pieces(lo, hi) == fresh.linear_pieces(lo, hi)
+        assert all(span <= (width or 0.0) + 2 * _PAD + 1e-6 for span in spans)
+
+
 def test_constant_function():
     h = constant(2.5)
     assert h(-17.3) == 2.5
@@ -241,13 +315,15 @@ def test_lift_restricts_to_line():
 
 
 def test_lift_precision_far_from_origin():
-    # the reduction loses precision with ulp(|t|); a fresh function per t
-    # keeps the point context from spanning the gap between far queries
+    # the reduction loses precision with ulp(|t|); one function answers
+    # every t from the slice around it
     lift = torus_lift(NEAREST)
+    f = nearest_distance()
     rng = random.Random(67)
-    for _ in range(300):
-        t = rng.choice((-1.0, 1.0)) * rng.uniform(5.0e6, 1.0e7)
-        assert abs(lift.on_line(t) - nearest_distance()(t)) <= 1e-8
+    for lo, hi, tol in ((5.0e6, 1.0e7, 1e-8), (5.0e8, 1.0e9, 2e-7)):
+        for _ in range(300):
+            t = rng.choice((-1.0, 1.0)) * rng.uniform(lo, hi)
+            assert abs(lift.on_line(t) - f(t)) <= tol
 
 
 _SHIFTED = Window.default().shifted(QTau(Fraction(1, 2)))

@@ -24,6 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
+from .cutproject import Frequency
 from .fibonacci import LocalFunction, TorusLift
 from .ztau import SQRT5, TAU, TAU_STAR, QTau, ZTau
 
@@ -144,6 +145,9 @@ class DataPointSet:
     _samples: weakref.WeakKeyDictionary[LocalFunction, list[float]] = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
     )
+    _partners: weakref.WeakKeyDictionary[LocalFunction, dict[Frequency, complex]] = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
+    )
 
     @cached_property
     def values(self) -> list[float]:
@@ -159,6 +163,11 @@ class DataPointSet:
         if values is None:
             values = self._samples[f] = [f(u) for u in self.values]
         return values
+
+    def partners(self, f: LocalFunction) -> dict[Frequency, complex]:
+        """Sum coefficients of f on these points left for the negatives of
+        the frequencies they were computed at (see fourier.coeff_sum)."""
+        return self._partners.setdefault(f, {})
 
     def __len__(self) -> int:
         return len(self.points)

@@ -21,11 +21,21 @@ the exact estimator takes a lift's rows once per lift, the sum reads f at
 each data point once per DataPointSet (DataPointSet.samples), and the
 integral reads the pieces over [lo, hi] once per function and range, as rows
 that each frequency then walks.  A frequency costs one complex exponential
-per data point (sum) or one sine, cosine and complex exponential per piece
-(integral, exact).  The memos are keyed weakly by the function or lift, so
-they vanish with it, and a function's row memo keeps only its last range.
-Every sum adds the same terms in the same order as the one-term-at-a-time
-formulas, so the coefficients are bit-identical to them.
+per data point (sum) or one complex exponential per piece and one sine and
+cosine per distinct piece width (integral, exact).  The memos are keyed
+weakly by the function or lift, so they vanish with it, and a function's row
+memo keeps only its last range.  Every sum adds the same terms in the same
+order as the one-term-at-a-time formulas, so the coefficients are
+bit-identical to them.
+
+The functions and lifts are real, so a_{-k} = conj(a_k), and a pair k, -k
+costs one pass of the kernel: computing a_k (k != 0) leaves
+complex(re, 0.0 - im) in the memo as a_{-k}, and the next call at -k takes it
+out instead of summing.  The mirror is bit-identical to a direct computation
+at -k: k.value and k.value_star negate exactly, so every angle does; sin is
+odd and cos even, so each term is conjugated exactly and the sum of the
+terms too.  A direct sum starts at zero, so its imaginary part is never -0.0,
+and 0.0 - im keeps it so where conj() would give -0.0.
 
 A periodic cosine baseline fitted on [0, 2] is included for comparison:
 a_j = (1/2) int_0^2 f(x) cos(j pi x / 2) dx for every j including j = 0,
@@ -48,13 +58,15 @@ from .ztau import DELTA, DELTA_STAR, SQRT5
 _TWO_PI = 2.0 * math.pi
 
 _PieceRow = tuple[float, float, float, complex]  # (mid, half, A, B)
-#: per live local function, the piece rows of the last range it was integrated over
-_ROWS: weakref.WeakKeyDictionary[LocalFunction, tuple[float, float, list[_PieceRow]]] = (
-    weakref.WeakKeyDictionary()
-)
-#: per live lift, the rows of its support rectangles
+_Partners = dict[Frequency, complex]  # a_{-k} left by the computation of a_k
+#: per live local function, the piece rows of the last range it was
+#: integrated over and the partners of the coefficients on [0, range]
+_ROWS: weakref.WeakKeyDictionary[
+    LocalFunction, tuple[float, float, list[_PieceRow], _Partners]
+] = weakref.WeakKeyDictionary()
+#: per live lift, the rows of its support rectangles and the partners
 _LIFT_ROWS: weakref.WeakKeyDictionary[
-    TorusLift, list[tuple[float, list[_PieceRow], list[_PieceRow]]]
+    TorusLift, tuple[list[tuple[float, list[_PieceRow], list[_PieceRow]]], _Partners]
 ] = weakref.WeakKeyDictionary()
 
 
@@ -77,31 +89,46 @@ def _transform(rows: list[_PieceRow], w: float) -> complex:
     """
     sin, cos, exp = math.sin, math.cos, cmath.exp
     nw = -1j * w
+    shapes: dict[float, tuple[float, float]] = {}  # half -> (sinc, h)
     terms = []
     for mid, half, a, b in rows:
-        z = w * half
-        if abs(z) < 1e-4:
-            sinc = 1.0 if abs(z) < 1e-12 else sin(z) / z
-            h = z / 3.0 - z * z * z / 30.0
-        else:
-            s = sin(z)
-            sinc = s / z
-            h = (s - z * cos(z)) / (z * z)
+        shape = shapes.get(half)
+        if shape is None:
+            z = w * half
+            if abs(z) < 1e-4:
+                sinc = 1.0 if abs(z) < 1e-12 else sin(z) / z
+                h = z / 3.0 - z * z * z / 30.0
+            else:
+                s = sin(z)
+                sinc = s / z
+                h = (s - z * cos(z)) / (z * z)
+            shape = shapes[half] = (sinc, h)
+        sinc, h = shape
         terms.append((a * sinc - b * h) * exp(nw * mid))
     return sum(terms, start=0j)
 
 
-def _lift_rows(lift: TorusLift) -> list[tuple[float, list[_PieceRow], list[_PieceRow]]]:
+def _keep_partner(partners: _Partners, k: Frequency, value: complex) -> complex:
+    """Leave conj(value) for the next call at -k and return value."""
+    if k.half_a or k.half_b:
+        partners[-k] = complex(value.real, 0.0 - value.imag)
+    return value
+
+
+def _lift_rows(
+    lift: TorusLift,
+) -> tuple[list[tuple[float, list[_PieceRow], list[_PieceRow]]], _Partners]:
     """Per support rectangle of the lift, its midpoint abscissa, the rows of
     the rule's centred pieces and the row of the internal extent (a constant
-    piece), taken once per lift."""
-    rows = _LIFT_ROWS.get(lift)
-    if rows is None:
-        rows = _LIFT_ROWS[lift] = [
+    piece), taken once per lift, and the lift's partners."""
+    memo = _LIFT_ROWS.get(lift)
+    if memo is None:
+        rows = [
             (sup.mid, _rows(sup.pieces), _rows([(sup.rect[2], sup.rect[3], 1.0, 0.0)]))
             for sup in lift.supports
         ]
-    return rows
+        memo = _LIFT_ROWS[lift] = (rows, {})
+    return memo
 
 
 def coeff_exact(k: Frequency, lift: TorusLift) -> complex:
@@ -113,44 +140,61 @@ def coeff_exact(k: Frequency, lift: TorusLift) -> complex:
     times the y-transform of the rectangle's internal extent; the sum over
     the rectangles is divided by sqrt5, the cell area.
     """
+    rows, partners = _lift_rows(lift)
+    value = partners.pop(k, None)
+    if value is not None:
+        return value
     wx = 2.0 * _TWO_PI * DELTA * k.value
     wy = 2.0 * _TWO_PI * DELTA_STAR * k.value_star
     nwx = -1j * wx
     terms = [
         cmath.exp(nwx * mid) * _transform(x_rows, wx) * _transform(y_rows, wy)
-        for mid, x_rows, y_rows in _lift_rows(lift)
+        for mid, x_rows, y_rows in rows
     ]
-    return sum(terms, start=0j) / SQRT5
+    return _keep_partner(partners, k, sum(terms, start=0j) / SQRT5)
 
 
-def _piece_rows(f: LocalFunction, lo: float, hi: float) -> list[_PieceRow]:
+def _range_rows(f: LocalFunction, lo: float, hi: float) -> tuple[list[_PieceRow], _Partners]:
     """The pieces of f clipped to [lo, hi] as rows (mid, half, A, B), taken
-    once per function and range."""
+    once per function and range, and the partners of that range."""
     memo = _ROWS.get(f)
     if memo is None or memo[0] != lo or memo[1] != hi:
-        memo = _ROWS[f] = (lo, hi, _rows(f.linear_pieces(lo, hi)))
-    return memo[2]
+        memo = _ROWS[f] = (lo, hi, _rows(f.linear_pieces(lo, hi)), {})
+    return memo[2], memo[3]
 
 
 def line_integral(f: LocalFunction, w: float, lo: float, hi: float) -> complex:
     """int_lo^hi f(x) exp(-i w x) dx, exact on the piecewise-linear parts."""
-    return _transform(_piece_rows(f, lo, hi), w)
+    return _transform(_range_rows(f, lo, hi)[0], w)
 
 
 def coeff_integral(k: Frequency, f: LocalFunction, r: float) -> complex:
     """Line-average estimator (1/R) int_0^R f exp(-2 pi i 2 DELTA k t) dt."""
     if r <= 0:
         raise ValueError("need r > 0")
+    rows, partners = _range_rows(f, 0.0, r)
+    value = partners.pop(k, None)
+    if value is not None:
+        return value
     w = 2.0 * _TWO_PI * DELTA * k.value
-    return line_integral(f, w, 0.0, r) / r
+    return _keep_partner(partners, k, _transform(rows, w) / r)
+
+
+def _sample_sum(samples: list[float], values: list[float], w: float) -> complex:
+    """sum_j f(u_j) exp(-i w u_j) over the samples f(u_j) at the values u_j."""
+    nw = -1j * w
+    exp = cmath.exp
+    return sum(fu * exp(nw * u) for fu, u in zip(samples, values))
 
 
 def coeff_sum(k: Frequency, f: LocalFunction, data: DataPointSet) -> complex:
     """Data-point estimator (1/N^2) sum_j f(u_j) exp(-2 pi i 2 DELTA k u_j)."""
-    nw = -1j * (2.0 * _TWO_PI * DELTA * k.value)
-    exp = cmath.exp
-    total = sum(fu * exp(nw * u) for fu, u in zip(data.samples(f), data.values))
-    return total / (data.n * data.n)
+    partners = data.partners(f)
+    value = partners.pop(k, None)
+    if value is not None:
+        return value
+    total = _sample_sum(data.samples(f), data.values, 2.0 * _TWO_PI * DELTA * k.value)
+    return _keep_partner(partners, k, total / (data.n * data.n))
 
 
 class Coefficient(NamedTuple):

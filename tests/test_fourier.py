@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
+import fibfourier.fourier as fourier
 from fibfourier.cutproject import Frequency, Window, frequency_representatives
 from fibfourier.discretize import data_points, path_decomposition
 from fibfourier.discretize import data_quadrature
@@ -157,6 +158,21 @@ def test_coeff_exact_matches_seed_transforms():
         assert abs(coeff_exact(k, NEAR_LIFT) - _seed_coeff_exact(k, NEAREST)) <= 1e-16, k
 
 
+@pytest.mark.parametrize("reverse", [False, True], ids=["ascending", "reversed"])
+def test_mirrored_exact_coefficients_match_seed_transforms_bitwise(reverse):
+    # each member of a pair is computed once and mirrored once over the two
+    # orders; repr tells -0.0 from 0.0, which == does not
+    freqs = list(frequency_representatives(7))
+    near, interval = torus_lift(NEAREST), torus_lift(INTERVAL)
+    for k in reversed(freqs) if reverse else freqs:
+        assert repr(coeff_exact(k, interval)) == repr(_seed_coeff_exact(k, INTERVAL)), k
+        value = coeff_exact(k, near)
+        if k in (Frequency(3, -1), Frequency(-3, 1)):
+            # a real coefficient: conj() would mirror it to -0j
+            assert repr(value) == "(0.012753511492501864+0j)", k
+        assert abs(value - _seed_coeff_exact(k, NEAREST)) <= 1e-16, k
+
+
 def test_line_integral_against_adaptive_quadrature():
     f = nearest_distance()
     w = _angular(Frequency(1, 1))
@@ -231,16 +247,29 @@ _FUNCTIONS = {"nearest": nearest_distance, "interval": interval_sign}
 
 
 @pytest.mark.parametrize("name", sorted(_FUNCTIONS))
-@pytest.mark.parametrize("n", [3, 9])
+@pytest.mark.parametrize("n", [2, 3, 4, 9])
 @pytest.mark.parametrize("passes", [14, 400], ids=["near", "far"])
 def test_estimators_match_per_term_formulas_bitwise(name, n, passes):
+    # in ascending and in reversed order, so each member of a pair {k, -k}
+    # is computed once and mirrored once; repr tells -0.0 from 0.0
     make = _FUNCTIONS[name]
     path = path_decomposition(passes=passes)
     data = data_points(n, path)
-    f, ref = make(), make()
-    for k in frequency_representatives(n):
-        assert coeff_integral(k, f, path.r) == _ref_coeff_integral(k, ref, path.r)
-        assert coeff_sum(k, f, data) == _ref_coeff_sum(k, ref, data)
+    freqs = list(frequency_representatives(n))
+    # for even n the classes (n/2, 0), (0, n/2), (n/2, n/2) are their own
+    # negatives, so their representatives' partners lie outside the set
+    unpaired = [k for k in freqs if -k not in freqs]
+    assert len(unpaired) == (3 if n % 2 == 0 else 0)
+    ref = make()
+    expected = {
+        k: (repr(_ref_coeff_integral(k, ref, path.r)), repr(_ref_coeff_sum(k, ref, data)))
+        for k in freqs
+    }
+    for order in (freqs, freqs[::-1]):
+        f = make()
+        for k in order:
+            got = (repr(coeff_integral(k, f, path.r)), repr(coeff_sum(k, f, data)))
+            assert got == expected[k], k
     assert data_quadrature(f, data) == SQRT5 * sum(ref(u) for u in data.values) / (n * n)
 
 
@@ -314,21 +343,86 @@ def test_integral_pass_takes_pieces_once_per_range():
     assert f.piece_requests == 4
 
 
+def _count_calls(monkeypatch, name):
+    counter = {"calls": 0}
+    kernel = getattr(fourier, name)
+
+    def counting(*args):
+        counter["calls"] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(fourier, name, counting)
+    return counter
+
+
+@pytest.mark.parametrize("kind", ["exact", "integral", "sum"])
+def test_conjugate_pairs_run_the_kernel_once(monkeypatch, kind):
+    freqs = frequency_representatives(9)
+    path = path_decomposition(passes=60)
+    args = {
+        "exact": dict(lift=TorusLift(nearest_distance().rule)),
+        "integral": dict(f=nearest_distance(), r=path.r),
+        "sum": dict(f=nearest_distance(), data=data_points(9, path)),
+    }[kind]
+    counter = _count_calls(monkeypatch, "_sample_sum" if kind == "sum" else "_transform")
+    build_approximant(kind, freqs, **args)
+    # 40 pairs and k = 0; the exact estimator walks 2 rectangles x 2 axes
+    assert counter["calls"] == (41 * 4 if kind == "exact" else 41)
+
+
+def test_repeated_and_new_range_queries_compute_afresh(monkeypatch):
+    path = path_decomposition(passes=60)
+    data = data_points(9, path)
+    f = nearest_distance()
+    k = Frequency(1, 1)
+    transforms = _count_calls(monkeypatch, "_transform")
+    sums = _count_calls(monkeypatch, "_sample_sum")
+    # asking for k twice computes it twice and gives the same bits
+    assert repr(coeff_integral(k, f, path.r)) == repr(coeff_integral(k, f, path.r))
+    assert repr(coeff_sum(k, f, data)) == repr(coeff_sum(k, f, data))
+    assert transforms["calls"] == sums["calls"] == 2
+    # the mirror of k is taken once, then -k is computed again
+    mirrored = coeff_integral(-k, f, path.r)
+    assert transforms["calls"] == 2
+    assert repr(coeff_integral(-k, f, path.r)) == repr(mirrored)
+    assert transforms["calls"] == 3
+    # a new range starts with no partners, and so does going back
+    coeff_integral(k, f, 0.5 * path.r)
+    assert repr(coeff_integral(-k, f, 0.5 * path.r)) == repr(
+        coeff_integral(-k, nearest_distance(), 0.5 * path.r)
+    )
+    coeff_integral(k, f, 0.5 * path.r)
+    calls = transforms["calls"]
+    assert repr(coeff_integral(-k, f, path.r)) == repr(mirrored)
+    assert transforms["calls"] == calls + 1
+
+
 def test_coefficient_memos_do_not_keep_functions_alive():
     data = data_points(3, path_decomposition(passes=10))
     f = nearest_distance()
-    coeff_sum(K00, f, data)
-    coeff_integral(K00, f, data.r)
+    for k in (K00, Frequency(1, 1)):  # k != 0 leaves a partner behind
+        coeff_sum(k, f, data)
+        coeff_integral(k, f, data.r)
+    assert len(data._partners) == 1
     ref = weakref.ref(f)
     del f
     gc.collect()
     assert ref() is None
+    assert len(data._partners) == 0
+    # and the data set's partners go with it
+    g = nearest_distance()
+    coeff_sum(Frequency(1, 1), g, data)
+    data_ref = weakref.ref(data)
+    del data
+    gc.collect()
+    assert data_ref() is None
 
 
 def test_lift_row_memo_does_not_keep_lifts_alive():
     lift = TorusLift(nearest_distance().rule)
     first = coeff_exact(Frequency(1, 1), lift)
     assert coeff_exact(Frequency(1, 1), lift) == first
+    coeff_exact(Frequency(2, -1), lift)  # its partner stays in the memo
     ref = weakref.ref(lift)
     del lift
     gc.collect()
@@ -345,17 +439,24 @@ def test_coeff_sum_basics():
 
 @pytest.mark.parametrize("kind", ["exact", "integral", "sum"])
 def test_estimators_are_hermitian(kind):
+    # b is the mirror of a, so -k is also computed directly, by a fresh lift
+    # or by the per-term formula, and must agree with the mirror bit for bit
     f = nearest_distance()
     path = path_decomposition(passes=14)
     data = data_points(3, path)
+    lift = torus_lift(NEAREST)
     for k in frequency_representatives(3):
         if kind == "exact":
-            a, b = coeff_exact(k, NEAR_LIFT), coeff_exact(-k, NEAR_LIFT)
+            a, b = coeff_exact(k, lift), coeff_exact(-k, lift)
+            direct = coeff_exact(-k, torus_lift(NEAREST))
         elif kind == "integral":
             a, b = coeff_integral(k, f, path.r), coeff_integral(-k, f, path.r)
+            direct = _ref_coeff_integral(-k, f, path.r)
         else:
             a, b = coeff_sum(k, f, data), coeff_sum(-k, f, data)
-        assert b == pytest.approx(a.conjugate(), abs=1e-12)
+            direct = _ref_coeff_sum(-k, f, data)
+        assert repr(b) == repr(direct), k
+        assert direct == pytest.approx(a.conjugate(), abs=1e-12)
 
 
 def test_lattice_shift_covariance():

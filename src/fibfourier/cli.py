@@ -14,12 +14,13 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import __version__
 from .cutproject import (
     AnyWindow,
     ApproxWindow,
+    ModelPoint,
     Window,
     enumerate_model_set,
     frequency_representatives,
@@ -64,6 +65,10 @@ REFERENCE_XS: list[float] = [
 ]
 
 _SUMMARY_WINDOWS = ((0.0, 15.0), (200.0, 215.0), (-115.0, -100.0))
+
+#: `points` enumerates its range in slices this long, so its memory does not
+#: grow with the range
+_POINTS_CHUNK = 1.0e4
 
 _FUNCTIONS = ("nearest", "interval")
 _ESTIMATORS = ("exact", "integral", "sum")
@@ -182,7 +187,7 @@ def _function(name: str, window: AnyWindow | None = None) -> LocalFunction:
     return nearest_distance(window) if name == "nearest" else interval_sign(window)
 
 
-Report = tuple[dict[str, object], Sequence[str], list[Sequence[object]]]
+Report = tuple[dict[str, object], Sequence[str], Iterable[Sequence[object]]]
 
 
 def _approximants(
@@ -212,16 +217,32 @@ def _approximants(
     return f, aps
 
 
+def _point_chunks(window: AnyWindow, lo: float, hi: float) -> Iterator[list[ModelPoint]]:
+    """The model-set points lo <= x <= hi in order, one slice of at most
+    _POINTS_CHUNK at a time."""
+    start = lo
+    while True:
+        end = start + _POINTS_CHUNK
+        if not end < hi:
+            yield enumerate_model_set(window, start, hi).points
+            return
+        yield [p for p in enumerate_model_set(window, start, end).points if p.value < end]
+        start = end
+
+
 def cmd_points(cfg: RunConfig) -> Report:
     window = parse_window(cfg.window)
     if cfg.hi < cfg.lo:
         raise ValueError("need --lo <= --hi")
-    sl = enumerate_model_set(window, cfg.lo, cfg.hi)
-    rows = [
+    # the header carries the count, so one pass counts (and meets every
+    # error before a byte is written) and a second formats, slice by slice
+    count = sum(len(points) for points in _point_chunks(window, cfg.lo, cfg.hi))
+    rows = (
         (p.algebraic.a, p.algebraic.b, _fmt(p.value), _fmt(p.algebraic.conj().embed().x), p.tile)
-        for p in sl.points
-    ]
-    return {"count": len(rows)}, ("a", "b", "x", "x_star", "tile"), rows
+        for points in _point_chunks(window, cfg.lo, cfg.hi)
+        for p in points
+    )
+    return {"count": count}, ("a", "b", "x", "x_star", "tile"), rows
 
 
 def cmd_data_points(cfg: RunConfig) -> Report:

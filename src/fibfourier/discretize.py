@@ -11,6 +11,14 @@ bounds for a lift G control the quadrature error:
 
     |integral_C G - (sqrt5/N^2) sum G(s_i)|  <=  sqrt5 * eps_n
     |integral_C G - (sqrt5/N^2) sum G(u_j, 0)| <  sqrt5 * (eps_n + eps_n_prime)
+
+eps_n is sampled only where it can be set.  A refined sub-cell grown by
+1e-9 in lattice coordinates that lies in one copy of a support rectangle
+carries the lift's exact range over its x-range, read from the lift's piece
+table, plus a slack of 1e-9 for the rounding of the values; other sub-cells
+carry inf.  Sub-cells are sampled in order of decreasing bound until a bound
+falls below the largest oscillation sampled, so eps_n equals the value from
+sampling every sub-cell bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +46,10 @@ _MATCH_TOL = 1e-9      # data-point sets agree where their u differ by at most t
 _CELL_SAMPLES = 10
 _STRIP_X_SAMPLES = 40
 _STRIP_Y_SAMPLES = 5
+# error_estimate bounds a sub-cell grown by _BOUND_MARGIN in lattice
+# coordinates and pads the bound by _BOUND_SLACK (see error_estimate)
+_BOUND_MARGIN = 1e-9
+_BOUND_SLACK = 1e-9
 
 
 def refinement_reps(n: int) -> list[QTau]:
@@ -264,6 +276,18 @@ def _cell_chord(x: float) -> tuple[float, float]:
     return lo, hi
 
 
+def _subcell_bound(lift: TorusLift, n: int, i: int, j: int) -> float:
+    """An upper bound on the lift's oscillation over the refined sub-cell
+    [i/n, (i+1)/n] x [j/n, (j+1)/n] in lattice coordinates: the range of the
+    lift's piece table over the sub-cell grown by _BOUND_MARGIN, plus
+    _BOUND_SLACK; inf unless the grown sub-cell lies in one support copy."""
+    step = 1.0 / n
+    us = (i * step - _BOUND_MARGIN, i * step + step + _BOUND_MARGIN)
+    vs = (j * step - _BOUND_MARGIN, j * step + step + _BOUND_MARGIN)
+    span = lift.range_on([(u + v * TAU, u + v * TAU_STAR) for u in us for v in vs])
+    return math.inf if span is None else span[1] - span[0] + _BOUND_SLACK
+
+
 def error_estimate(lift: TorusLift, n: int, path: PathDecomposition) -> ErrorEstimate:
     """Sampled oscillation bounds for the two-step quadrature.
 
@@ -271,25 +295,39 @@ def error_estimate(lift: TorusLift, n: int, path: PathDecomposition) -> ErrorEst
     (sampled on a _CELL_SAMPLES^2 grid); eps_n_prime is the largest vertical
     oscillation within any strip of the path decomposition.  Sampling makes
     both lower bounds of the true suprema; they are reported as computed.
+
+    Only the sub-cells that can set eps_n are sampled.  Each sub-cell first
+    gets a bound (_subcell_bound): grown by _BOUND_MARGIN = 1e-9 in lattice
+    coordinates, far above the ~1e-15 rounding of the sample coordinates and
+    far below 1/n, a sub-cell inside one support copy has the lift's exact
+    range over its x-range there as bound, plus _BOUND_SLACK = 1e-9 for the
+    rounding of c + m*u; any other sub-cell has bound inf.  Sub-cells are
+    sampled in order of decreasing bound until the next bound falls below
+    the largest oscillation sampled so far: no later sub-cell can raise the
+    maximum, so eps_n equals that of sampling every sub-cell bit for bit.
+    Bounds are positive, so a constant lift still samples every sub-cell.
     """
     # sub-cell oscillation, sampled in lattice coordinates
+    bounds = [_subcell_bound(lift, n, i, j) for i in range(n) for j in range(n)]
     eps_n = 0.0
     step = 1.0 / n
     offs = [k / (_CELL_SAMPLES - 1.0) * step for k in range(_CELL_SAMPLES)]
-    for i in range(n):
-        for j in range(n):
-            u0 = i * step
-            v0 = j * step
-            mn = math.inf
-            mx = -math.inf
-            for du in offs:
-                for dv in offs:
-                    u = u0 + du
-                    v = v0 + dv
-                    g = lift.evaluate_torus(u + v * TAU, u + v * TAU_STAR)
-                    mn = min(mn, g)
-                    mx = max(mx, g)
-            eps_n = max(eps_n, mx - mn)
+    for cell in sorted(range(n * n), key=bounds.__getitem__, reverse=True):
+        if bounds[cell] < eps_n:
+            break
+        i, j = divmod(cell, n)
+        u0 = i * step
+        v0 = j * step
+        mn = math.inf
+        mx = -math.inf
+        for du in offs:
+            for dv in offs:
+                u = u0 + du
+                v = v0 + dv
+                g = lift.evaluate_torus(u + v * TAU, u + v * TAU_STAR)
+                mn = min(mn, g)
+                mx = max(mx, g)
+        eps_n = max(eps_n, mx - mn)
 
     # per-strip vertical oscillation
     _, edges = path.strips

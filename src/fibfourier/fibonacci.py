@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .cutproject import (
     AnyWindow,
@@ -179,6 +179,11 @@ class Support(NamedTuple):
     pieces: list[LinearPiece]
 
 
+#: (mid, inner piece ends, pieces) of one support rectangle, read by
+#: TorusLift.evaluate_torus and TorusLift.range_on
+_Table = tuple[float, list[float], list[LinearPiece]]
+
+
 class TorusLift:
     """Periodic lift of a local function to the scheme torus.
 
@@ -207,7 +212,6 @@ class TorusLift:
             pieces = rule(-half, half, tile)
             supports.append(Support((x0, x1, y0 - s, y1 - s), 0.5 * (x0 + x1), pieces))
         self.supports = tuple(supports)
-        # (mid, inner piece ends, pieces) per rectangle for evaluate_torus
         self._short, self._long = (
             (sup.mid, [p[1] for p in sup.pieces[:-1]], sup.pieces) for sup in supports
         )
@@ -220,19 +224,21 @@ class TorusLift:
     def rectangles(self) -> tuple[tuple[float, float, float, float], ...]:
         return tuple(sup.rect for sup in self.supports)
 
-    def evaluate_torus(self, x: float, y: float) -> float:
-        """Value at any plane point, reduced modulo the scheme lattice.
+    def _locate(self, x: float, y: float) -> tuple[int, int, _Table, float]:
+        """The copy of the support that holds the plane point (x, y): the
+        lattice point a + b*tau it is moved by, the piece table of its
+        rectangle, and the chart abscissa xx = x - a - b*tau.
 
         The reduction runs on the default window's rectangles at (x, y + s).
-        The copy of the support at lattice point a + b*tau that holds (x, y)
-        lies in column b = floor((x - y)/sqrt5) or the next one; in column b
-        the internal condition y - a - b*tau' in (-1/tau, 1/tau^2] fixes a,
-        and the copy holds the point exactly when x - a - b*tau < tau.  One
-        comparison per column leaves no seam for rounding to open, but the
-        reduced coordinates carry an error that grows with ulp(|x|): on the
-        line, values differ from the local function's by up to about 1e-7
-        at |x| near 1e9 and 1.5e-6 near 1e10.  The position is not checked
-        against POSITION_LIMIT here; on_line checks it.
+        The copy that holds (x, y) lies in column b = floor((x - y)/sqrt5)
+        or the next one; in column b the internal condition
+        y - a - b*tau' in (-1/tau, 1/tau^2] fixes a, and the copy holds the
+        point exactly when x - a - b*tau < tau.  One comparison per column
+        leaves no seam for rounding to open, but the reduced coordinates
+        carry an error that grows with ulp(|x|): on the line, values differ
+        from the local function's by up to about 1e-7 at |x| near 1e9 and
+        1.5e-6 near 1e10.  The position is not checked against
+        POSITION_LIMIT here; on_line checks it.
         """
         y += self._shift
         b0 = math.floor((x - y) / SQRT5)
@@ -240,11 +246,43 @@ class TorusLift:
             a = math.ceil(y - b * TAU_STAR - INV_TAU2)
             xx = x - a - b * TAU
             if xx < TAU:
-                mid, ends, pieces = self._long if xx >= 0.0 else self._short
-                u = xx - mid
-                _, _, c, m = pieces[bisect_right(ends, u)]
-                return c + m * u
+                return a, b, self._long if xx >= 0.0 else self._short, xx
         raise RuntimeError(f"torus reduction failed for ({x}, {y})")
+
+    def evaluate_torus(self, x: float, y: float) -> float:
+        """Value at any plane point, reduced modulo the scheme lattice."""
+        _, _, (mid, ends, pieces), xx = self._locate(x, y)
+        u = xx - mid
+        _, _, c, m = pieces[bisect_right(ends, u)]
+        return c + m * u
+
+    def range_on(self, corners: Sequence[tuple[float, float]]) -> tuple[float, float] | None:
+        """Least and greatest value of the lift on the convex hull of the
+        plane points `corners`, or None when they lie in different copies
+        of the support.
+
+        A copy is a rectangle, so it holds the hull of any corners it holds,
+        and on it the lift depends on x alone.  The range is then that of
+        the piece table over the corners' chart abscissae, with the pieces
+        read as evaluate_torus reads them (the first and last extend past
+        the tile), so a rule that jumps inside a tile is covered too.  It
+        is exact for the corners as given; rounding near the hull's edges
+        is the caller's to allow for.
+        """
+        located = [self._locate(x, y) for x, y in corners]
+        copy = located[0][:3]
+        if any(loc[:3] != copy for loc in located):
+            return None
+        mid, ends, pieces = copy[2]
+        lo = min(loc[3] for loc in located) - mid
+        hi = max(loc[3] for loc in located) - mid
+        first, last = bisect_right(ends, lo), bisect_right(ends, hi)
+        values = []
+        for k in range(first, last + 1):
+            _, _, c, m = pieces[k]
+            values.append(c + m * (lo if k == first else ends[k - 1]))
+            values.append(c + m * (hi if k == last else ends[k]))
+        return min(values), max(values)
 
     def on_line(self, t: float) -> float:
         check_position(t)

@@ -101,6 +101,19 @@ def test_points_float_window_matches_default(capsys):
     assert len(rows1) == 73
 
 
+@pytest.mark.parametrize("window", ["default", "shifted"])
+def test_points_in_slices_match_one_slice(window, monkeypatch, capsys):
+    # at chunk 1.0 the slice edges are integers, and two points of each set
+    # (-1 and 0, 0 and 1) lie exactly on them
+    argv = ["points", "--lo", "-5", "--hi", "40", "--window", window]
+    rc, whole, _ = run_cli(argv, capsys)
+    assert rc == 0 and int(parse_report(whole)[1]["count"]) > 30
+    for chunk in (1.0, 2.5, TAU, 7.0, 45.0):
+        monkeypatch.setattr(cli, "_POINTS_CHUNK", chunk)
+        rc, out, _ = run_cli(argv, capsys)
+        assert rc == 0 and out == whole, chunk
+
+
 def test_points_bad_window(capsys):
     rc, _, err = run_cli(
         ["points", "--lo", "0", "--hi", "5", "--window", "x"], capsys

@@ -5,12 +5,17 @@ import statistics
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fibfourier.cutproject import torus_coords
+from fibfourier.cutproject import Window, torus_coords
 from fibfourier.discretize import (
     DataPoint,
+    ErrorEstimate,
     PathDecomposition,
     Segment,
+    _cell_chord,
+    _subcell_bound,
     cell_quadrature,
     compare_data_points,
     data_points,
@@ -257,3 +262,103 @@ def test_data_quadrature_constant():
     assert cell_quadrature(TorusLift.constant(2.0), 5) == pytest.approx(
         2.0 * SQRT5, abs=1e-12
     )
+
+
+def _seed_cell_oscillation(lift, n, i, j):
+    """Sampled oscillation of the lift over sub-cell (i, j), on the 10^2
+    grid and with the float expressions error_estimate samples with."""
+    step = 1.0 / n
+    offs = [k / (10 - 1.0) * step for k in range(10)]
+    u0 = i * step
+    v0 = j * step
+    # min and max of the list keep the first extreme, as running ones do
+    vals = [
+        lift.evaluate_torus(u + v * TAU, u + v * TAU_STAR)
+        for u in (u0 + du for du in offs)
+        for v in (v0 + dv for dv in offs)
+    ]
+    return max(vals) - min(vals)
+
+
+def _seed_error_estimate(lift, n, path):
+    """Reference for error_estimate that samples every sub-cell and every
+    strip."""
+    eps_n = 0.0
+    for i in range(n):
+        for j in range(n):
+            eps_n = max(eps_n, _seed_cell_oscillation(lift, n, i, j))
+    _, edges = path.strips
+    eps_p = 0.0
+    shrink = 1e-9
+    for y0, y1 in zip(edges, edges[1:]):
+        for ix in range(40):
+            x = (ix + 0.5) / 40 * (1.0 + TAU)
+            ch_lo, ch_hi = _cell_chord(x)
+            lo = max(y0, ch_lo) + shrink
+            hi = min(y1, ch_hi) - shrink
+            if lo >= hi:
+                continue
+            vals = [lift.evaluate_torus(x, lo + (hi - lo) * iy / (5 - 1.0)) for iy in range(5)]
+            eps_p = max(eps_p, max(vals) - min(vals))
+    return ErrorEstimate(eps_n, eps_p, SQRT5 * (eps_n + eps_p))
+
+
+def _jump_rule(p, q, tile):
+    # rises, then drops by a step inside the tile
+    mid = 0.5 * (p + q)
+    return [(p, mid, 0.25, 0.5), (mid, q, -1.0, -0.3)]
+
+
+_LIFTS = {
+    "nearest": lambda: torus_lift(NEAREST),
+    "interval": lambda: torus_lift(INTERVAL),
+    "shifted": lambda: TorusLift(
+        nearest_distance().rule, Window.default().shifted(QTau(Fraction(1, 2)))
+    ),
+    "constant": lambda: TorusLift.constant(3.0),
+    "jump": lambda: TorusLift(_jump_rule),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LIFTS))
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 27])
+def test_error_estimate_matches_full_sampler_bitwise(name, n):
+    lift = _LIFTS[name]()
+    path = path_decomposition(passes=12)
+    assert repr(error_estimate(lift, n, path)) == repr(_seed_error_estimate(lift, n, path))
+
+
+def test_error_estimate_matches_full_sampler_bitwise_at_n81():
+    lift = torus_lift(NEAREST)
+    path = path_decomposition(passes=600)
+    assert repr(error_estimate(lift, 81, path)) == repr(_seed_error_estimate(lift, 81, path))
+
+
+def test_error_estimate_samples_only_the_subcells_that_can_set_eps_n():
+    lift = torus_lift(NEAREST)
+    evaluate = lift.evaluate_torus
+    calls = 0
+
+    def counting(x, y):
+        nonlocal calls
+        calls += 1
+        return evaluate(x, y)
+
+    lift.evaluate_torus = counting
+    # one pass: the strip loop makes at most 40 * 5 of the calls
+    error_estimate(lift, 81, path_decomposition(passes=1))
+    assert calls <= 0.1 * 81 * 81 * 100
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(sorted(_LIFTS)),
+    st.integers(1, 81).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+)
+def test_subcell_bound_dominates_sampled_oscillation(name, row):
+    # every sub-cell (i, j) of a random row j, so the sub-cells that straddle
+    # a piece end inside a support copy are among those checked
+    n, j = row
+    lift = _LIFTS[name]()
+    for i in range(n):
+        assert _subcell_bound(lift, n, i, j) >= _seed_cell_oscillation(lift, n, i, j), i

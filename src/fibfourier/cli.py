@@ -22,6 +22,7 @@ from .cutproject import (
     ApproxWindow,
     ModelPoint,
     Window,
+    check_position,
     enumerate_model_set,
     frequency_representatives,
 )
@@ -304,7 +305,12 @@ def cmd_values(cfg: RunConfig) -> Report:
     path = _resolve_path(cfg)
     f, aps = _approximants(_ESTIMATORS, cfg.n, cfg.function, path)
     aps.append(cos_baseline(f, cfg.cosine_n, bool(cfg.cosine_dc_halved)))
-    rows = [(_fmt(x), _fmt(f(x)), *(_fmt(ap.evaluate(x)) for ap in aps)) for x in xs]
+    if cfg.grid is not None:
+        # the rows are made while they are written, so a position error must
+        # come first; lo + i*step is monotone in i, so the ends are enough
+        for i in (0, count - 1):
+            check_position(lo + i * step)
+    rows = ((_fmt(x), _fmt(f(x)), *(_fmt(ap.evaluate(x)) for ap in aps)) for x in xs)
     extra = _path_extra(path)
     if cfg.grid is not None:
         for w_lo, w_hi in _SUMMARY_WINDOWS:

@@ -37,9 +37,20 @@ odd and cos even, so each term is conjugated exactly and the sum of the
 terms too.  A direct sum starts at zero, so its imaginary part is never -0.0,
 and 0.0 - im keeps it so where conj() would give -0.0.
 
+An Approximant keeps one row (re, im, p) per term, with p = (2 DELTA) k.value
+taken once, and evaluate(x) sums re cos(theta) - im sin(theta) with
+theta = 2 pi (p x) in a plain loop from 0.0, touching no Frequency and no
+complex number.  This equals evaluate_complex(x).real bit for bit: there
+1j * 2 pi * phase(x) is complex(+-0.0, 2 pi (p x)), whose cmath.exp is
+(1.0 cos theta, 1.0 sin theta); the real part of the complex product is
+re cos theta - im sin theta; and a complex sum from 0j adds the real parts
+in order from 0.0.  (A term may differ in the sign of a zero, which no sum
+from 0.0 shows.)  The loop must not become a float sum(), which is
+compensated from Python 3.12 on and would round differently.
+
 A periodic cosine baseline fitted on [0, 2] is included for comparison:
 a_j = (1/2) int_0^2 f(x) cos(j pi x / 2) dx for every j including j = 0,
-summed as f_cos(x) = sum_j a_j cos(j pi x / 2).
+summed as f_cos(x) = sum_j a_j cos(j pi x / 2), from rows (j pi / 2, a_j).
 """
 
 from __future__ import annotations
@@ -205,11 +216,28 @@ class Coefficient(NamedTuple):
 @dataclass
 class Approximant:
     """Finite trigonometric sum, either over dual frequencies or the cosine
-    baseline (period 4)."""
+    baseline (period 4).
+
+    The terms are read once, at the first evaluation, into rows (re, im, p)
+    or, for the cosine baseline, (w, a); coeffs and cosine are not to be
+    changed afterwards.  A table that is never evaluated (the coeffs and
+    coefficient-table reports) holds no rows."""
 
     kind: str  # exact | integral | sum | cosine
     coeffs: list[Coefficient] = field(default_factory=list)
     cosine: list[float] = field(default_factory=list)
+    _rows: list[tuple[float, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def _take_rows(self) -> list[tuple[float, ...]]:
+        if self.kind == "cosine":
+            self._rows = [(0.5 * math.pi * j, a) for j, a in enumerate(self.cosine)]
+        else:
+            self._rows = [
+                (c.value.real, c.value.imag, 2.0 * DELTA * c.k.value) for c in self.coeffs
+            ]
+        return self._rows
 
     def evaluate_complex(self, x: float) -> complex:
         if self.kind == "cosine":
@@ -220,11 +248,22 @@ class Approximant:
         )
 
     def evaluate(self, x: float) -> float:
+        """The real part of the sum at x, from the rows (see the module
+        docstring for why it equals evaluate_complex(x).real bit for bit)."""
+        rows = self._rows
+        if rows is None:
+            rows = self._take_rows()
+        cos = math.cos
+        total = 0.0
         if self.kind == "cosine":
-            return sum(
-                a * math.cos(0.5 * math.pi * j * x) for j, a in enumerate(self.cosine)
-            )
-        return self.evaluate_complex(x).real
+            for w, a in rows:
+                total += a * cos(w * x)
+            return total
+        sin = math.sin
+        for re, im, p in rows:
+            theta = _TWO_PI * (p * x)
+            total += re * cos(theta) - im * sin(theta)
+        return total
 
     def __call__(self, x: float) -> float:
         return self.evaluate(x)

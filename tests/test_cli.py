@@ -197,6 +197,8 @@ def test_deterministic_output_files(tmp_path, capsys):
          "position 2000000000.0 is beyond the limit 1e+09"),
         (["compare", "--grid", "2e9:2000000015:10"],
          "position 2000000000.0 is beyond the limit 1e+09"),
+        (["compare", "--grid", "0:2e9:3"],
+         "position 2000000000.0 is beyond the limit 1e+09"),
     ],
     ids=[
         "window",
@@ -207,6 +209,7 @@ def test_deterministic_output_files(tmp_path, capsys):
         "exact-window",
         "points-beyond-limit",
         "grid-beyond-limit",
+        "grid-ends-beyond-limit",
     ],
 )
 def test_usage_error_writes_no_file(argv, message, tmp_path, capsys):
@@ -387,6 +390,25 @@ def test_compare_report(capsys):
     far_exact = float(extras["sup_error_exact_[200,215]"])
     far_cos = float(extras["sup_error_cosine_[200,215]"])
     assert far_exact < far_cos
+
+
+def test_compare_rows_are_made_as_they_are_written(monkeypatch):
+    calls = []
+    evaluate = cli.Approximant.evaluate
+    monkeypatch.setattr(
+        cli.Approximant, "evaluate", lambda ap, x: calls.append(x) or evaluate(ap, x)
+    )
+    cfg = cli.RunConfig(
+        command="compare", n=3, range_r=21.64, function="nearest", cosine_n=10, grid="0:15:600"
+    )
+    _, _, rows = cli.cmd_values(cfg)
+    sup_calls = len(calls)  # 4 approximants x 3 windows x 1000 samples
+    assert sup_calls == 12000
+    rows = iter(rows)
+    assert next(rows)[0] == "0"
+    assert len(calls) == sup_calls + 4
+    assert sum(1 for _ in rows) == 599
+    assert len(calls) == sup_calls + 4 * 600
 
 
 def test_singularity_report_defaults(capsys):

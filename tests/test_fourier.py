@@ -1,6 +1,7 @@
 """Coefficient estimators, approximants, and the periodic cosine baseline."""
 
 import cmath
+import functools
 import gc
 import math
 import random
@@ -534,6 +535,74 @@ def test_single_term_evaluation():
     assert ap.evaluate_complex(2.0) == pytest.approx(
         cmath.exp(2j * math.pi * k.phase(2.0)), abs=1e-12
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _approximant(n, kind, name):
+    f = _FUNCTIONS[name]()
+    if kind == "exact":
+        return build_approximant(kind, frequency_representatives(n), lift=TorusLift(f.rule))
+    path = path_decomposition(passes=40)
+    return build_approximant(
+        kind, frequency_representatives(n), f=f, r=path.r, data=data_points(n, path)
+    )
+
+
+# near and far, both signs, and the zeros
+_EVAL_XS = [0.0, -0.0, 1e-9, -3.7, 0.5 + TAU, 21.64, -100.0, 1234.5678, -54321.9, 1.0e5, -1.0e5]
+
+
+@pytest.mark.parametrize("name", sorted(_FUNCTIONS))
+@pytest.mark.parametrize("kind", ["exact", "integral", "sum"])
+@pytest.mark.parametrize("n", [3, 7, 9, 27])
+def test_evaluate_is_real_part_of_complex_sum_bitwise(n, kind, name):
+    ap = _approximant(n, kind, name)
+    rng = random.Random(n)
+    xs = _EVAL_XS + [rng.uniform(-1.0e5, 1.0e5) for _ in range(20)]
+    for x in xs:
+        assert repr(ap.evaluate(x)) == repr(ap.evaluate_complex(x).real), x
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    st.sampled_from([3, 7, 9, 27]),
+    st.sampled_from(["exact", "integral", "sum"]),
+    st.sampled_from(sorted(_FUNCTIONS)),
+    st.floats(-1.0e5, 1.0e5),
+)
+def test_evaluate_is_real_part_of_complex_sum_any_x(n, kind, name, x):
+    ap = _approximant(n, kind, name)
+    assert repr(ap.evaluate(x)) == repr(ap.evaluate_complex(x).real)
+
+
+@pytest.mark.parametrize("name", sorted(_FUNCTIONS))
+def test_cosine_evaluate_matches_explicit_sum_bitwise(name):
+    ap = cos_baseline(_FUNCTIONS[name](), 50)
+    rng = random.Random(61)
+    for x in _EVAL_XS + [rng.uniform(-1.0e5, 1.0e5) for _ in range(50)]:
+        expected = 0.0
+        for j, a in enumerate(ap.cosine):
+            expected += a * math.cos(0.5 * math.pi * j * x)
+        assert repr(ap.evaluate(x)) == repr(expected), x
+
+
+def test_evaluate_reads_no_frequency(monkeypatch):
+    ap = _approximant(9, "sum", "nearest")
+    before = [ap.evaluate(x) for x in _EVAL_XS]
+
+    def refuse(*_):
+        raise AssertionError("Frequency read during evaluate")
+
+    monkeypatch.setattr(Frequency, "phase", refuse)
+    monkeypatch.setattr(Frequency, "value", property(refuse))
+    with pytest.raises(AssertionError):
+        ap.evaluate_complex(1.0)
+    assert [ap.evaluate(x) for x in _EVAL_XS] == before
+
+
+def test_empty_sums_are_float_zero():
+    assert repr(Approximant("cosine", cosine=[]).evaluate(1.5)) == "0.0"
+    assert repr(Approximant("exact", []).evaluate(1.5)) == "0.0"
 
 
 def test_exact_approximant_reference_values():

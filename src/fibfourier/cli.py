@@ -20,9 +20,9 @@ from . import __version__
 from .cutproject import (
     AnyWindow,
     ApproxWindow,
-    ModelPoint,
     Window,
     check_position,
+    count_model_set,
     enumerate_model_set,
     frequency_representatives,
 )
@@ -218,16 +218,16 @@ def _approximants(
     return f, aps
 
 
-def _point_chunks(window: AnyWindow, lo: float, hi: float) -> Iterator[list[ModelPoint]]:
-    """The model-set points lo <= x <= hi in order, one slice of at most
-    _POINTS_CHUNK at a time."""
+def _point_slices(lo: float, hi: float) -> Iterator[tuple[float, float, bool]]:
+    """Slices (start, end, closed) of at most _POINTS_CHUNK covering
+    [lo, hi] in order: [start, end), and [start, hi] when closed (the last)."""
     start = lo
     while True:
         end = start + _POINTS_CHUNK
         if not end < hi:
-            yield enumerate_model_set(window, start, hi).points
+            yield start, hi, True
             return
-        yield [p for p in enumerate_model_set(window, start, end).points if p.value < end]
+        yield start, end, False
         start = end
 
 
@@ -237,11 +237,15 @@ def cmd_points(cfg: RunConfig) -> Report:
         raise ValueError("need --lo <= --hi")
     # the header carries the count, so one pass counts (and meets every
     # error before a byte is written) and a second formats, slice by slice
-    count = sum(len(points) for points in _point_chunks(window, cfg.lo, cfg.hi))
+    count = sum(
+        count_model_set(window, start, end, closed)
+        for start, end, closed in _point_slices(cfg.lo, cfg.hi)
+    )
     rows = (
         (p.algebraic.a, p.algebraic.b, _fmt(p.value), _fmt(p.algebraic.conj().embed().x), p.tile)
-        for points in _point_chunks(window, cfg.lo, cfg.hi)
-        for p in points
+        for start, end, closed in _point_slices(cfg.lo, cfg.hi)
+        for p in enumerate_model_set(window, start, end).points
+        if closed or p.value < end
     )
     return {"count": count}, ("a", "b", "x", "x_star", "tile"), rows
 

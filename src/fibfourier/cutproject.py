@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from operator import itemgetter
 from typing import NamedTuple, Union
 
 from .ztau import (
@@ -182,9 +184,10 @@ class ModelSetSlice:
         return len(self.points)
 
 
-def _enumerate_raw(window: AnyWindow, lo: float, hi: float) -> list[tuple[float, ZTau]]:
+def _enumerate_raw(window: AnyWindow, lo: float, hi: float) -> list[tuple[float, int, int]]:
+    """(a + b*tau, a, b) of the model-set points lo <= x <= hi, sorted by x."""
     w_lo, w_hi = window.bounds_float()
-    out: list[tuple[float, ZTau]] = []
+    out: list[tuple[float, int, int]] = []
     b_min = math.floor((lo - w_hi) / SQRT5) - 1
     b_max = math.ceil((hi - w_lo) / SQRT5) + 1
     guard = 1e-6
@@ -201,9 +204,22 @@ def _enumerate_raw(window: AnyWindow, lo: float, hi: float) -> list[tuple[float,
             if xs < w_lo - guard or xs > w_hi + guard:
                 continue
             if window.contains_star(a + b, -b):
-                out.append((v, ZTau(a, b)))
-    out.sort(key=lambda item: item[0])
+                out.append((v, a, b))
+    out.sort(key=itemgetter(0))
     return out
+
+
+def _tagged_range(window: AnyWindow, lo: float, hi: float) -> list[tuple[float, int, int]]:
+    """_enumerate_raw over [lo, hi + _TAG_MARGIN], after checking that the
+    range is valid and that every point up to hi has a successor in it."""
+    if not lo <= hi:
+        raise ValueError("need lo <= hi")
+    check_position(lo, _LIMIT_REACH)
+    check_position(hi, _LIMIT_REACH)
+    raw = _enumerate_raw(window, lo, hi + _TAG_MARGIN)
+    if raw and raw[-1][0] <= hi:
+        raise RuntimeError("enumeration margin exhausted")
+    return raw
 
 
 def _tile_tag(gap: float) -> str:
@@ -218,19 +234,21 @@ def _tile_tag(gap: float) -> str:
 
 def enumerate_model_set(window: AnyWindow, lo: float, hi: float) -> ModelSetSlice:
     """All model-set points x with lo <= x <= hi, sorted, tagged by tile."""
-    if not lo <= hi:
-        raise ValueError("need lo <= hi")
-    check_position(lo, _LIMIT_REACH)
-    check_position(hi, _LIMIT_REACH)
-    raw = _enumerate_raw(window, lo, hi + _TAG_MARGIN)
+    raw = _tagged_range(window, lo, hi)
     points: list[ModelPoint] = []
-    for i, (v, z) in enumerate(raw):
+    for (v, a, b), (w, _, _) in zip(raw, raw[1:]):
         if v > hi:
             break
-        if i + 1 >= len(raw):
-            raise RuntimeError("enumeration margin exhausted")
-        points.append(ModelPoint(v, z, _tile_tag(raw[i + 1][0] - v)))
+        points.append(ModelPoint(v, ZTau(a, b), _tile_tag(w - v)))
     return ModelSetSlice(points)
+
+
+def count_model_set(window: AnyWindow, lo: float, hi: float, closed: bool = True) -> int:
+    """len(enumerate_model_set(window, lo, hi)), with the same checks, but
+    counted without building points or tile tags; with closed=False the
+    points at hi are left out."""
+    raw = _tagged_range(window, lo, hi)
+    return (bisect_right if closed else bisect_left)(raw, hi, key=itemgetter(0))
 
 
 def torus_coords(t: float) -> tuple[float, float]:

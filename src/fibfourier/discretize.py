@@ -18,7 +18,16 @@ carries the lift's exact range over its x-range, read from the lift's piece
 table, plus a slack of 1e-9 for the rounding of the values; other sub-cells
 carry inf.  Sub-cells are sampled in order of decreasing bound until a bound
 falls below the largest oscillation sampled, so eps_n equals the value from
-sampling every sub-cell bit for bit.
+sampling every sub-cell bit for bit.  eps_n_prime is sampled only on strip
+columns that cross from one support copy into another: on one copy the lift
+depends on x alone, so a column there has oscillation exactly 0.0.  Runs of
+strips are bisected per abscissa, and a run whose ends, grown by 1e-9, lie
+in one copy is skipped whole; eps_n_prime equals the value from sampling
+every column bit for bit.
+
+The representatives are embedded as i/n + (j/n)*tau and i/n + (j/n)*tau'
+from a generator; i/n is the correctly rounded float of Fraction(i, n), so
+these are QTau.embed's values bit for bit, without embedding n^2 QTau.
 """
 
 from __future__ import annotations
@@ -26,11 +35,11 @@ from __future__ import annotations
 import logging
 import math
 import weakref
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .cutproject import Frequency
 from .fibonacci import LocalFunction, TorusLift
@@ -47,9 +56,13 @@ _CELL_SAMPLES = 10
 _STRIP_X_SAMPLES = 40
 _STRIP_Y_SAMPLES = 5
 # error_estimate bounds a sub-cell grown by _BOUND_MARGIN in lattice
-# coordinates and pads the bound by _BOUND_SLACK (see error_estimate)
+# coordinates and pads the bound by _BOUND_SLACK; it samples a strip column
+# between the strip's edges moved in by _STRIP_SHRINK and skips a run of
+# columns whose ends, pushed out by _BOUND_MARGIN, lie in one support copy
+# (see error_estimate)
 _BOUND_MARGIN = 1e-9
 _BOUND_SLACK = 1e-9
+_STRIP_SHRINK = 1e-9
 
 
 def refinement_reps(n: int) -> list[QTau]:
@@ -57,6 +70,17 @@ def refinement_reps(n: int) -> list[QTau]:
     if n < 1:
         raise ValueError("need n >= 1")
     return [QTau(Fraction(i, n), Fraction(j, n)) for i in range(n) for j in range(n)]
+
+
+def _embedded_reps(n: int) -> Iterator[tuple[int, int, float, float]]:
+    """(i, j, x, x') of each representative (i + j*tau)/n, in the order of
+    refinement_reps.  float(Fraction(i, n)) and i / n are both the correctly
+    rounded quotient, so (x, x') equals QTau.embed's pair bit for bit."""
+    for i in range(n):
+        fi = i / n
+        for j in range(n):
+            fj = j / n
+            yield i, j, fi + fj * TAU, fi + fj * TAU_STAR
 
 
 class Segment(NamedTuple):
@@ -75,10 +99,6 @@ class PathDecomposition:
     segments: list[Segment]
     r: float
     m: int
-
-    @cached_property
-    def heights(self) -> list[float]:
-        return [seg.height for seg in self.segments]
 
     @cached_property
     def strips(self) -> tuple[list[Segment], list[float]]:
@@ -165,10 +185,6 @@ class DataPointSet:
     def values(self) -> list[float]:
         return [p.u for p in self.points]
 
-    @cached_property
-    def residuals(self) -> list[float]:
-        return [p.residual for p in self.points]
-
     def samples(self, f: LocalFunction) -> list[float]:
         """f at every data point, in order; evaluated once per live f."""
         values = self._samples.get(f)
@@ -185,16 +201,23 @@ class DataPointSet:
         return len(self.points)
 
 
-def _assemble(n: int, path: PathDecomposition, choose) -> DataPointSet:
+#: a segment's translate t and its embedding (t, t'), which _assemble adds
+#: to every representative matched with the segment
+_Target = tuple[ZTau, float, float]
+
+
+def _target(seg: Segment) -> _Target:
+    emb = seg.translate.embed()
+    return seg.translate, emb.x, emb.x_star
+
+
+def _assemble(n: int, path: PathDecomposition, choose: Callable[[float], _Target]) -> DataPointSet:
     """One data point per representative s, on the segment choose(s') picks."""
+    fracs = [Fraction(i, n) for i in range(n)]
     pts = []
-    for s in refinement_reps(n):
-        emb = s.embed()
-        seg = choose(emb.x_star)
-        temb = seg.translate.embed()
-        pts.append(
-            DataPoint(emb.x + temb.x, s, seg.translate, abs(emb.x_star + temb.x_star))
-        )
+    for i, j, x, x_star in _embedded_reps(n):
+        translate, tx, tx_star = choose(x_star)
+        pts.append(DataPoint(x + tx, QTau(fracs[i], fracs[j]), translate, abs(x_star + tx_star)))
     pts.sort(key=lambda p: p.u)
     return DataPointSet(n, path.m, path.r, pts)
 
@@ -207,21 +230,32 @@ def data_points(n: int, path: PathDecomposition) -> DataPointSet:
     segment heights; every height at the same distance joins the argmin, so
     the pick is that of the brute-force minimum over all segments.
     """
-    rows = sorted(
-        (seg.height, seg.translate.embed().x, i, seg) for i, seg in enumerate(path.segments)
-    )
+    rows = []
+    for i, seg in enumerate(path.segments):
+        target = _target(seg)
+        _, tx, tx_star = target
+        rows.append((-tx_star, tx, i, target))  # -t' is seg.height
+    rows.sort()
     heights = [row[0] for row in rows]
     last = len(rows) - 1
 
-    def choose(ss: float) -> Segment:
+    def choose(ss: float) -> _Target:
         i = bisect_left(heights, ss)
         lo, hi = max(i - 1, 0), min(i, last)
-        d = min(abs(ss - heights[lo]), abs(ss - heights[hi]))
-        # |s' - h| is monotone on either side of s', so equal distances are adjacent
+        d_lo, d_hi = abs(ss - heights[lo]), abs(ss - heights[hi])
+        d = min(d_lo, d_hi)
+        # keep the nearer side; |s' - h| is monotone on either side of s',
+        # so the heights at distance d are adjacent
+        if d_lo > d:
+            lo = hi
+        if d_hi > d:
+            hi = lo
         while lo > 0 and abs(ss - heights[lo - 1]) == d:
             lo -= 1
         while hi < last and abs(ss - heights[hi + 1]) == d:
             hi += 1
+        if lo == hi:
+            return rows[lo][3]
         return min(rows[lo : hi + 1], key=lambda row: (abs(ss - row[0]), row[1], row[2]))[3]
 
     return _assemble(n, path, choose)
@@ -236,12 +270,13 @@ def strip_projection_oracle(n: int, path: PathDecomposition) -> DataPointSet:
     strip boundary joins the strip below it.
     """
     order, c = path.strips
+    targets = [_target(seg) for seg in order]
 
-    def choose(ss: float) -> Segment:
+    def choose(ss: float) -> _Target:
         idx = bisect_left(c, ss)
         if idx < 1 or idx > len(order):
             raise RuntimeError("representative escaped the strip partition")
-        return order[idx - 1]
+        return targets[idx - 1]
 
     return _assemble(n, path, choose)
 
@@ -306,6 +341,20 @@ def error_estimate(lift: TorusLift, n: int, path: PathDecomposition) -> ErrorEst
     the largest oscillation sampled so far: no later sub-cell can raise the
     maximum, so eps_n equals that of sampling every sub-cell bit for bit.
     Bounds are positive, so a constant lift still samples every sub-cell.
+
+    Only the strip columns that cross support copies are sampled.  On one
+    copy the lift depends on x alone, and the sample coordinates of a column
+    share their x, so a column whose samples locate to one copy has
+    oscillation exactly 0.0 and cannot raise eps_n_prime.  A copy is a
+    rectangle, so it meets a vertical line in an interval: when both ends of
+    a run of columns, pushed out by _BOUND_MARGIN = 1e-9, locate to the same
+    copy, the heights between them lie in it too.  The margin is far above
+    the ~1e-15 rounding of a sample height, and the abscissae lie more than
+    5e-4 from every vertical edge of a copy, so each sample of the run
+    locates to that copy as well, and the run is skipped whole.  Runs are
+    halved until they lie in one copy or are single columns, which are
+    sampled as before; eps_n_prime equals that of sampling every column bit
+    for bit.
     """
     # sub-cell oscillation, sampled in lattice coordinates
     bounds = [_subcell_bound(lift, n, i, j) for i in range(n) for j in range(n)]
@@ -316,46 +365,72 @@ def error_estimate(lift: TorusLift, n: int, path: PathDecomposition) -> ErrorEst
         if bounds[cell] < eps_n:
             break
         i, j = divmod(cell, n)
-        u0 = i * step
-        v0 = j * step
-        mn = math.inf
-        mx = -math.inf
-        for du in offs:
-            for dv in offs:
-                u = u0 + du
-                v = v0 + dv
-                g = lift.evaluate_torus(u + v * TAU, u + v * TAU_STAR)
-                mn = min(mn, g)
-                mx = max(mx, g)
-        eps_n = max(eps_n, mx - mn)
+        us = [i * step + du for du in offs]
+        vs = [j * step + dv for dv in offs]
+        # min and max of the list keep the first extreme, as running ones do
+        vals = [lift.evaluate_torus(u + v * TAU, u + v * TAU_STAR) for u in us for v in vs]
+        eps_n = max(eps_n, max(vals) - min(vals))
 
-    # per-strip vertical oscillation
+    # per-strip vertical oscillation, on the columns that cross copies
     _, edges = path.strips
     eps_p = 0.0
-    shrink = 1e-9
-    for y0, y1 in zip(edges, edges[1:]):
-        for ix in range(_STRIP_X_SAMPLES):
-            x = (ix + 0.5) / _STRIP_X_SAMPLES * (1.0 + TAU)
-            ch_lo, ch_hi = _cell_chord(x)
-            lo = max(y0, ch_lo) + shrink
-            hi = min(y1, ch_hi) - shrink
-            if lo >= hi:
-                continue
-            vals = [
-                lift.evaluate_torus(x, lo + (hi - lo) * iy / (_STRIP_Y_SAMPLES - 1.0))
-                for iy in range(_STRIP_Y_SAMPLES)
-            ]
-            eps_p = max(eps_p, max(vals) - min(vals))
+    for ix in range(_STRIP_X_SAMPLES):
+        x = (ix + 0.5) / _STRIP_X_SAMPLES * (1.0 + TAU)
+        eps_p = max(eps_p, _strip_oscillation(lift, x, edges))
 
     return ErrorEstimate(eps_n, eps_p, SQRT5 * (eps_n + eps_p))
+
+
+def _strip_oscillation(lift: TorusLift, x: float, edges: list[float]) -> float:
+    """The largest sampled oscillation over the strip columns at abscissa x.
+
+    Column k runs between the strip's edges, cut to the cell's chord at x
+    and moved in by _STRIP_SHRINK, and is sampled at _STRIP_Y_SAMPLES
+    heights.  A run of columns whose outer ends, pushed out by
+    _BOUND_MARGIN, locate to one support copy is skipped: each of its
+    columns has oscillation exactly 0.0 (see error_estimate).  Other runs
+    are halved, down to single columns, which are sampled.
+    """
+    ch_lo, ch_hi = _cell_chord(x)
+
+    def column(k: int) -> tuple[float, float]:
+        return max(edges[k], ch_lo) + _STRIP_SHRINK, min(edges[k + 1], ch_hi) - _STRIP_SHRINK
+
+    def copy(y: float) -> tuple:
+        return lift._locate(x, y)[:3]
+
+    # columns outside [first, last) miss the chord and are empty
+    first = max(bisect_right(edges, ch_lo) - 1, 0)
+    last = min(bisect_left(edges, ch_hi), len(edges) - 1)
+    if first >= last:
+        return 0.0
+    osc = 0.0
+    bottom = copy(column(first)[0] - _BOUND_MARGIN)
+    runs = [(first, last, bottom, copy(column(last - 1)[1] + _BOUND_MARGIN))]
+    while runs:
+        i, j, bottom, top = runs.pop()
+        if bottom == top:
+            continue
+        if j - i == 1:
+            lo, hi = column(i)
+            if lo < hi:
+                vals = [
+                    lift.evaluate_torus(x, lo + (hi - lo) * iy / (_STRIP_Y_SAMPLES - 1.0))
+                    for iy in range(_STRIP_Y_SAMPLES)
+                ]
+                osc = max(osc, max(vals) - min(vals))
+            continue
+        k = (i + j) // 2
+        runs.append((i, k, bottom, copy(column(k - 1)[1] + _BOUND_MARGIN)))
+        runs.append((k, j, copy(column(k)[0] - _BOUND_MARGIN), top))
+    return osc
 
 
 def cell_quadrature(lift: TorusLift, n: int) -> float:
     """(sqrt5/n^2) * sum of the lift over the refined representatives."""
     total = 0.0
-    for s in refinement_reps(n):
-        emb = s.embed()
-        total += lift.evaluate_torus(emb.x, emb.x_star)
+    for _, _, x, x_star in _embedded_reps(n):
+        total += lift.evaluate_torus(x, x_star)
     return SQRT5 * total / (n * n)
 
 

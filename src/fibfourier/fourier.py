@@ -324,4 +324,4 @@ def sup_error(
     if samples < 2 or not lo < hi:
         raise ValueError("need lo < hi and samples >= 2")
     step = (hi - lo) / (samples - 1)
-    return max(abs(ap.evaluate(lo + i * step) - f(lo + i * step)) for i in range(samples))
+    return max(abs(ap.evaluate(x) - f(x)) for x in (lo + i * step for i in range(samples)))

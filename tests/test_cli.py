@@ -114,6 +114,28 @@ def test_points_in_slices_match_one_slice(window, monkeypatch, capsys):
         assert rc == 0 and out == whole, chunk
 
 
+@pytest.mark.parametrize("window", ["default", "shifted"])
+@pytest.mark.parametrize("chunk,lo,hi", [(1.0, "-5", "40"), (cli._POINTS_CHUNK, "-5", "1e4")])
+def test_points_count_header_equals_the_rows(window, chunk, lo, hi, monkeypatch, capsys):
+    # the slice edges (integers at chunk 1.0, 9995 at the default chunk)
+    # split the range, and at chunk 1.0 points lie exactly on them
+    monkeypatch.setattr(cli, "_POINTS_CHUNK", chunk)
+    rc, out, _ = run_cli(["points", "--lo", lo, "--hi", hi, "--window", window], capsys)
+    assert rc == 0
+    _, extras, _, rows = parse_report(out)
+    xs = [float(r[2]) for r in rows]
+    assert int(extras["count"]) == len(rows) > 30
+    assert xs == sorted(set(xs))
+    assert xs[-1] <= float(hi) and float(hi) - xs[-1] < TAU + 1e-9
+
+
+def test_points_enumeration_error_comes_before_any_output(capsys):
+    # the counting pass meets the tagging-margin error of a sparse window
+    rc, out, err = run_cli(["points", "--lo", "0", "--hi", "1000", "--window=-0.01:0.01"], capsys)
+    assert rc == 1 and out == ""
+    assert "margin" in err
+
+
 def test_points_bad_window(capsys):
     rc, _, err = run_cli(
         ["points", "--lo", "0", "--hi", "5", "--window", "x"], capsys

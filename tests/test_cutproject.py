@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from fibfourier.cutproject import (
     ApproxWindow,
     Frequency,
     Window,
+    count_model_set,
     enumerate_model_set,
     frequency_representatives,
     torus_coords,
@@ -234,3 +236,25 @@ def test_approx_window_endpoint_snapping():
     assert aw.contains_star(0, 0)
     # a value a hair below the endpoint is kept regardless of closure
     assert aw.contains_star(2, -1) == (2.0 + -1.0 * TAU < 1.0)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [Window.default(), Window.default().shifted(QTau(Fraction(1, 2))), ApproxWindow(-1.0, 0.5)],
+)
+def test_count_model_set_counts_the_enumerated_points(window):
+    # ranges whose ends are points of the set (0, tau, 1, 1 + tau) or not
+    for lo, hi in ((0.0, TAU), (-1.0, 1.0 + TAU), (-7.25, 60.5), (3.0, 3.0), (-500.0, 500.0)):
+        values = [p.value for p in enumerate_model_set(window, lo, hi).points]
+        assert count_model_set(window, lo, hi) == len(values), (lo, hi)
+        assert count_model_set(window, lo, hi, closed=False) == sum(v < hi for v in values)
+
+
+def test_count_model_set_checks_like_enumerate_model_set():
+    # a window of length 0.02 leaves gaps far wider than the tagging margin
+    sparse = ApproxWindow(-0.01, 0.01)
+    for args in ((Window.default(), 2.0, 1.0), (Window.default(), 0.0, 2e9), (sparse, 0.0, 1000.0)):
+        with pytest.raises((ValueError, RuntimeError)) as expected:
+            enumerate_model_set(*args)
+        with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+            count_model_set(*args)

@@ -2,6 +2,7 @@
 
 import math
 import statistics
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from fibfourier.discretize import (
     PathDecomposition,
     Segment,
     _cell_chord,
+    _embedded_reps,
     _subcell_bound,
     cell_quadrature,
     compare_data_points,
@@ -106,7 +108,7 @@ def test_path_segments_chain_and_cells():
 
 def test_heights_are_distinct():
     path = path_decomposition(passes=40)
-    hs = sorted(path.heights)
+    hs = sorted(seg.height for seg in path.segments)
     for a, b in zip(hs, hs[1:]):
         assert b - a > 1e-6
 
@@ -221,7 +223,9 @@ def test_compare_data_points_rejects_size_mismatch():
 def test_residuals_shrink_with_longer_paths(n):
     short = data_points(n, path_decomposition(passes=10))
     long = data_points(n, path_decomposition(passes=40))
-    assert statistics.mean(long.residuals) < statistics.mean(short.residuals)
+    assert statistics.mean(p.residual for p in long.points) < statistics.mean(
+        p.residual for p in short.points
+    )
 
 
 def test_error_estimate_constant_lift_vanishes():
@@ -324,30 +328,114 @@ _LIFTS = {
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 27])
 def test_error_estimate_matches_full_sampler_bitwise(name, n):
     lift = _LIFTS[name]()
-    path = path_decomposition(passes=12)
-    assert repr(error_estimate(lift, n, path)) == repr(_seed_error_estimate(lift, n, path))
+    for passes in (1, 2, 5, 12, 17, 150):
+        path = path_decomposition(passes=passes)
+        assert repr(error_estimate(lift, n, path)) == repr(
+            _seed_error_estimate(lift, n, path)
+        ), passes
 
 
 def test_error_estimate_matches_full_sampler_bitwise_at_n81():
-    lift = torus_lift(NEAREST)
-    path = path_decomposition(passes=600)
-    assert repr(error_estimate(lift, 81, path)) == repr(_seed_error_estimate(lift, 81, path))
+    for descriptor, passes in ((NEAREST, 600), (INTERVAL, 1000)):
+        lift = torus_lift(descriptor)
+        path = path_decomposition(passes=passes)
+        assert repr(error_estimate(lift, 81, path)) == repr(
+            _seed_error_estimate(lift, 81, path)
+        ), descriptor
+
+
+def _count_lift_calls(lift):
+    """Make lift.evaluate_torus count its calls; returns the counter."""
+    evaluate = lift.evaluate_torus
+    calls = [0]
+
+    def counting(x, y):
+        calls[0] += 1
+        return evaluate(x, y)
+
+    lift.evaluate_torus = counting
+    return calls
 
 
 def test_error_estimate_samples_only_the_subcells_that_can_set_eps_n():
     lift = torus_lift(NEAREST)
-    evaluate = lift.evaluate_torus
-    calls = 0
-
-    def counting(x, y):
-        nonlocal calls
-        calls += 1
-        return evaluate(x, y)
-
-    lift.evaluate_torus = counting
+    calls = _count_lift_calls(lift)
     # one pass: the strip loop makes at most 40 * 5 of the calls
     error_estimate(lift, 81, path_decomposition(passes=1))
-    assert calls <= 0.1 * 81 * 81 * 100
+    assert calls[0] <= 0.1 * 81 * 81 * 100
+
+
+def test_error_estimate_samples_only_the_strip_columns_that_cross_copies():
+    # sampling every sub-cell and strip column here takes 93.9k calls; the
+    # 303 sub-cells that can set eps_n take 30.3k of them
+    lift = torus_lift(NEAREST)
+    calls = _count_lift_calls(lift)
+    error_estimate(lift, 81, path_decomposition(passes=600))
+    assert calls[0] <= 35_000
+
+
+def _seed_assemble(n, path, choose):
+    """Data points as assembled from refinement_reps and QTau.embed, with
+    choose(s') picking a segment."""
+    pts = []
+    for s in refinement_reps(n):
+        emb = s.embed()
+        seg = choose(emb.x_star)
+        temb = seg.translate.embed()
+        pts.append(DataPoint(emb.x + temb.x, s, seg.translate, abs(emb.x_star + temb.x_star)))
+    pts.sort(key=lambda p: p.u)
+    return pts
+
+
+def _seed_data_points(n, path):
+    rows = sorted(
+        (seg.height, seg.translate.embed().x, i, seg) for i, seg in enumerate(path.segments)
+    )
+    heights = [row[0] for row in rows]
+    last = len(rows) - 1
+
+    def choose(ss):
+        i = bisect_left(heights, ss)
+        lo, hi = max(i - 1, 0), min(i, last)
+        d = min(abs(ss - heights[lo]), abs(ss - heights[hi]))
+        while lo > 0 and abs(ss - heights[lo - 1]) == d:
+            lo -= 1
+        while hi < last and abs(ss - heights[hi + 1]) == d:
+            hi += 1
+        return min(rows[lo : hi + 1], key=lambda row: (abs(ss - row[0]), row[1], row[2]))[3]
+
+    return _seed_assemble(n, path, choose)
+
+
+def _seed_strip_projection(n, path):
+    order, c = path.strips
+    return _seed_assemble(n, path, lambda ss: order[bisect_left(c, ss) - 1])
+
+
+def _seed_cell_quadrature(lift, n):
+    total = 0.0
+    for s in refinement_reps(n):
+        emb = s.embed()
+        total += lift.evaluate_torus(emb.x, emb.x_star)
+    return SQRT5 * total / (n * n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 9, 27, 81])
+def test_refinement_grid_matches_exact_embedding_bitwise(n):
+    # lists of reprs, so a failure names the first differing point
+    grid = [repr((x, x_star)) for _, _, x, x_star in _embedded_reps(n)]
+    assert grid == [repr(tuple(s.embed())) for s in refinement_reps(n)]
+    for passes in (17, 600):
+        path = path_decomposition(passes=passes)
+        assert list(map(repr, data_points(n, path).points)) == list(
+            map(repr, _seed_data_points(n, path))
+        )
+        assert list(map(repr, strip_projection_oracle(n, path).points)) == list(
+            map(repr, _seed_strip_projection(n, path))
+        )
+    for name in sorted(_LIFTS):
+        lift = _LIFTS[name]()
+        assert repr(cell_quadrature(lift, n)) == repr(_seed_cell_quadrature(lift, n)), name
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)

@@ -708,3 +708,14 @@ def test_sup_error_basics():
         sup_error(ap, constant(2.5), 0.0, 10.0, samples=1)
     with pytest.raises(ValueError):
         sup_error(ap, constant(2.5), 10.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "lo,hi,samples", [(0.0, 15.0, 1000), (200.0, 215.0, 800), (-115.0, -100.0, 7)]
+)
+def test_sup_error_matches_the_seed_grid_bitwise(lo, hi, samples):
+    ap = build_approximant("exact", frequency_representatives(3), lift=NEAR_LIFT)
+    f = nearest_distance()
+    step = (hi - lo) / (samples - 1)
+    seed = max(abs(ap.evaluate(lo + i * step) - f(lo + i * step)) for i in range(samples))
+    assert repr(sup_error(ap, f, lo, hi, samples)) == repr(seed)

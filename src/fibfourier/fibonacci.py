@@ -41,6 +41,8 @@ INV_TAU = 1.0 / TAU
 INV_TAU2 = 1.0 / (TAU * TAU)
 # a PointContext enumerates this far beyond the queried range
 _PAD = 16.0
+# LocalFunction.values_at reads one piece table over at most this span
+_BATCH_SPAN = 1024.0
 
 NEAREST = "nearest_distance"
 INTERVAL = "interval_sign"
@@ -130,6 +132,30 @@ class LocalFunction:
             raise RuntimeError("context coverage too small")
         _, _, c, m = pieces[i]
         return c + m * t
+
+    def values_at(self, ts: Sequence[float]) -> list[float]:
+        """f at each of the ascending positions ts, as __call__ gives it.
+
+        Each stretch of positions whose neighbours lie within 2*_PAD, at
+        most _BATCH_SPAN long, is read from one piece table.  That table
+        enumerates no more points than one table per position would, and
+        memory does not grow with the span of ts.
+        """
+        out: list[float] = []
+        k, end = 0, len(ts)
+        while k < end:
+            j = k + 1
+            while j < end and ts[j] - ts[j - 1] <= 2 * _PAD and ts[j] - ts[k] <= _BATCH_SPAN:
+                j += 1
+            pieces, starts = self._table(ts[k], ts[j - 1])
+            for t in ts[k:j]:
+                i = bisect_right(starts, t) - 1
+                if i < 0 or t >= pieces[i][1]:
+                    raise RuntimeError("context coverage too small")
+                _, _, c, m = pieces[i]
+                out.append(c + m * t)
+            k = j
+        return out
 
     def linear_pieces(self, lo: float, hi: float) -> list[LinearPiece]:
         """Cover [lo, hi] by pieces (x0, x1, c, m) with f(x) = c + m*x."""

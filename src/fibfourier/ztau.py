@@ -57,8 +57,9 @@ class QTau:
     __slots__ = ("a", "b")
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0) -> None:
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        # a Fraction is immutable, so one given as such is kept as it is
+        self.a = a if type(a) is Fraction else Fraction(a)
+        self.b = b if type(b) is Fraction else Fraction(b)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.a!r}, {self.b!r})"

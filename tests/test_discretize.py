@@ -30,6 +30,7 @@ from fibfourier.discretize import (
 from fibfourier.fibonacci import (
     INTERVAL,
     NEAREST,
+    LocalFunction,
     TorusLift,
     constant,
     nearest_distance,
@@ -133,6 +134,39 @@ def test_data_points_basic_invariants():
         cells = sorted((n * p.s.a, n * p.s.b) for p in data.points)
         assert cells == [(i, j) for i in range(n) for j in range(n)]
         assert all(p.residual >= 0.0 for p in data.points)
+
+
+@pytest.mark.parametrize("n", [3, 27, 81])
+def test_data_point_reps_are_the_refinement_reps(n):
+    # reprs name the class of each coefficient, so each must be an exact Fraction
+    reps = sorted(map(repr, refinement_reps(n)))
+    path = path_decomposition(passes=150)
+    for data in (data_points(n, path), strip_projection_oracle(n, path)):
+        assert sorted(repr(p.s) for p in data.points) == reps
+
+
+_LOCAL_FUNCTIONS = {
+    "nearest": nearest_distance,
+    "interval": interval_sign,
+    "shifted": lambda: nearest_distance(Window.default().shifted(QTau(Fraction(1, 2)))),
+    "constant": lambda: constant(3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOCAL_FUNCTIONS))
+@pytest.mark.parametrize("n,passes", [(3, 17), (27, 150), (81, 600)])
+def test_samples_match_pointwise_calls(name, n, passes):
+    data = data_points(n, path_decomposition(passes=passes))
+    f = _LOCAL_FUNCTIONS[name]()
+
+    def fresh():
+        return LocalFunction(f.rule, f.context.window)
+
+    g = fresh()
+    assert list(map(repr, data.samples(f))) == [repr(g(u)) for u in data.values]
+    # f answers later queries, near and far, as a fresh function does
+    for t in (0.0, 2e5):
+        assert repr(f(t)) == repr(fresh()(t)), t
 
 
 @pytest.mark.parametrize("n,passes,cap", [(3, 10, 0.08), (9, 17, 0.06)])
@@ -374,6 +408,23 @@ def test_error_estimate_samples_only_the_strip_columns_that_cross_copies():
     assert calls[0] <= 35_000
 
 
+@pytest.mark.parametrize("descriptor", [NEAREST, INTERVAL])
+def test_error_estimate_bounds_runs_of_subcells(descriptor):
+    # a bound for every sub-cell alone takes 81 * 81 = 6561 range_on calls;
+    # bounding runs of sub-cells takes about 2.1k
+    lift = torus_lift(descriptor)
+    range_on = lift.range_on
+    calls = [0]
+
+    def counting(corners):
+        calls[0] += 1
+        return range_on(corners)
+
+    lift.range_on = counting
+    error_estimate(lift, 81, path_decomposition(passes=800))
+    assert calls[0] <= 3_000
+
+
 def _seed_assemble(n, path, choose):
     """Data points as assembled from refinement_reps and QTau.embed, with
     choose(s') picking a segment."""
@@ -438,15 +489,36 @@ def test_refinement_grid_matches_exact_embedding_bitwise(n):
         assert repr(cell_quadrature(lift, n)) == repr(_seed_cell_quadrature(lift, n)), name
 
 
+def _runs(n):
+    """A row i and runs [j0, j1) of sub-cells in it: the whole row and three
+    drawn at random."""
+    return st.tuples(
+        st.integers(0, n - 1),
+        st.lists(
+            st.integers(0, n - 1).flatmap(lambda j0: st.tuples(st.just(j0), st.integers(j0 + 1, n))),
+            min_size=3,
+            max_size=3,
+        ).map(lambda runs: [(0, n), *runs]),
+    )
+
+
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(
     st.sampled_from(sorted(_LIFTS)),
-    st.integers(1, 81).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+    st.integers(1, 81).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, n - 1), _runs(n))
+    ),
 )
 def test_subcell_bound_dominates_sampled_oscillation(name, row):
     # every sub-cell (i, j) of a random row j, so the sub-cells that straddle
     # a piece end inside a support copy are among those checked
-    n, j = row
+    n, j, (i_run, runs) = row
     lift = _LIFTS[name]()
     for i in range(n):
         assert _subcell_bound(lift, n, i, j) >= _seed_cell_oscillation(lift, n, i, j), i
+    # a run's bound holds each member's bound and sampled oscillation
+    for j0, j1 in runs:
+        bound = _subcell_bound(lift, n, i_run, j0, j1)
+        for jj in range(j0, j1):
+            assert bound >= _subcell_bound(lift, n, i_run, jj), (j0, j1, jj)
+            assert bound >= _seed_cell_oscillation(lift, n, i_run, jj), (j0, j1, jj)

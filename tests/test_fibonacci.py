@@ -249,6 +249,28 @@ def test_answers_do_not_depend_on_query_history(name, window_name, queries):
         assert all(span <= (width or 0.0) + 2 * _PAD + 1e-6 for span in spans)
 
 
+def test_values_at_reads_one_table_per_bounded_stretch():
+    # 20k positions 0.25 apart, read over five tables of span <= 1024, then
+    # positions more than 2 * _PAD apart, each read alone as a query is
+    ts = [0.25 * k for k in range(20_000)] + [1.0e6, 1.0e6 + 40.0, 5.0e8]
+    spans = []
+
+    def recording(w, lo, hi):
+        spans.append(hi - lo)
+        return enumerate_model_set(w, lo, hi)
+
+    for name in ("nearest", "interval"):
+        f = _MAKERS[name](None)
+        fresh = _MAKERS[name](None)
+        spans.clear()
+        with mock.patch.object(fibonacci, "enumerate_model_set", recording):
+            values = f.values_at(ts)
+        assert list(map(repr, values)) == [repr(fresh(t)) for t in ts]
+        assert len(spans) == 8
+        assert max(spans) <= fibonacci._BATCH_SPAN + 2 * _PAD + 1e-6
+    assert nearest_distance().values_at([]) == []
+
+
 def test_constant_function():
     h = constant(2.5)
     assert h(-17.3) == 2.5

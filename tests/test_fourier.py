@@ -298,7 +298,8 @@ def test_cos_baseline_matches_per_term_formula_bitwise(name, conventional):
 
 
 class _CountingFunction(LocalFunction):
-    """nearest_distance, counting point evaluations and piece-list requests."""
+    """nearest_distance, counting point evaluations (one per position, alone
+    or in a batch) and piece-list requests."""
 
     def __init__(self):
         super().__init__(nearest_distance().rule)
@@ -308,6 +309,10 @@ class _CountingFunction(LocalFunction):
     def __call__(self, t):
         self.evaluations += 1
         return super().__call__(t)
+
+    def values_at(self, ts):
+        self.evaluations += len(ts)
+        return super().values_at(ts)
 
     def linear_pieces(self, lo, hi):
         self.piece_requests += 1

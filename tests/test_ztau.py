@@ -207,6 +207,32 @@ def test_equality_and_hash_across_types():
     assert QTau(3) in {3} and ZTau(3, 0) in {QTau(3)}
 
 
+class _Third(Fraction):
+    """A Fraction subclass, which QTau must not keep as given."""
+
+
+def test_qtau_stores_exact_fractions_from_any_rational():
+    third = Fraction(1, 3)
+    for a, b in [
+        (3, -2),
+        (True, False),
+        (third, Fraction(-7, 4)),
+        (_Third(1, 3), _Third(2, 3)),
+        (_Third(1, 3), 0),
+    ]:
+        q = QTau(a, b)
+        assert type(q.a) is Fraction and type(q.b) is Fraction
+        fa, fb = Fraction(a), Fraction(b)
+        assert (q.a, q.b) == (fa, fb)
+        assert q == QTau(fa, fb) and hash(q) == hash(QTau(fa, fb))
+        # a rational element hashes like its Fraction, any other like the pair
+        assert hash(q) == (hash(fa) if fb == 0 else hash((fa, fb)))
+        if fb == 0:
+            assert q == fa and fa in {q}
+    # a Fraction is immutable, so it is kept as given
+    assert QTau(third).a is third
+
+
 def test_mixed_operands_leave_the_ring():
     """A ZTau combined with a rational value is a QTau with the right value."""
     half = Fraction(1, 2)

@@ -12,19 +12,24 @@ bounds for a lift G control the quadrature error:
     |integral_C G - (sqrt5/N^2) sum G(s_i)|  <=  sqrt5 * eps_n
     |integral_C G - (sqrt5/N^2) sum G(u_j, 0)| <  sqrt5 * (eps_n + eps_n_prime)
 
-eps_n is sampled only where it can be set.  A run of refined sub-cells in
-one row, grown by 1e-9 in lattice coordinates, that lies in one copy of a
-support rectangle carries the lift's exact range over its x-range, read
-from the lift's piece table, plus a slack of 1e-9 for the rounding of the
-values; other runs carry inf.  Runs are halved in order of decreasing bound
-down to single sub-cells, which are sampled, until a bound falls below the
-largest oscillation sampled, so eps_n equals the value from sampling every
-sub-cell bit for bit.  eps_n_prime is sampled only on strip columns that
-cross from one support copy into another: on one copy the lift depends on x
-alone, so a column there has oscillation exactly 0.0.  Runs of strips are
-bisected per abscissa, and a run whose ends, grown by 1e-9, lie in one copy
-is skipped whole; eps_n_prime equals the value from sampling every column
-bit for bit.
+Both oscillations are maxima over members of runs: eps_n over the sub-cells
+of each row of the refined lattice, eps_n_prime over the strip columns at
+each sampled abscissa.  One search (_largest) halves runs in order of
+decreasing bound and samples only single members, until no bound left
+exceeds the largest sample; each maximum equals the value from sampling
+every member bit for bit, because a run's bound is at least the sampled
+oscillation of each of its members.  The bound is hi - lo of
+TorusLift.range_on over the run grown by 1e-9, or inf when the grown run
+crosses support copies.  The margin is far above the ~1e-15 rounding of a
+sample's coordinates, so every sample of a member lies in the grown run; a
+copy is a rectangle, so it holds the run when it holds the corners, and the
+sample locates to that copy, with a chart abscissa between the corners'.
+On one copy every sample is c + m*u with u inside the range that range_on
+evaluates, and rounding is monotone, so each sample lies between range_on's
+two end values and the rounded difference of two samples is no larger than
+the rounded bound.  No slack is needed, and a zero range gives a bound of
+exactly 0.0: a constant lift, and every strip column inside one copy (where
+the lift depends on x alone), is not sampled at all.
 
 The representatives are embedded as i/n + (j/n)*tau and i/n + (j/n)*tau'
 from a generator; i/n is the correctly rounded float of Fraction(i, n), so
@@ -33,13 +38,14 @@ these are QTau.embed's values bit for bit, without embedding n^2 QTau.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 import weakref
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterator, NamedTuple
 
 from .cutproject import Frequency
@@ -56,13 +62,10 @@ _MATCH_TOL = 1e-9      # data-point sets agree where their u differ by at most t
 _CELL_SAMPLES = 10
 _STRIP_X_SAMPLES = 40
 _STRIP_Y_SAMPLES = 5
-# error_estimate bounds a run of sub-cells grown by _BOUND_MARGIN in lattice
-# coordinates and pads the bound by _BOUND_SLACK; it samples a strip column
-# between the strip's edges moved in by _STRIP_SHRINK and skips a run of
-# columns whose ends, pushed out by _BOUND_MARGIN, lie in one support copy
-# (see error_estimate)
+# error_estimate bounds a run of sub-cells or strip columns grown by
+# _BOUND_MARGIN (see the module docstring) and samples a strip column between
+# the strip's edges moved in by _STRIP_SHRINK
 _BOUND_MARGIN = 1e-9
-_BOUND_SLACK = 1e-9
 _STRIP_SHRINK = 1e-9
 
 
@@ -95,6 +98,16 @@ class Segment(NamedTuple):
         return -self.translate.embed().x_star
 
 
+class _Target(NamedTuple):
+    """A segment's translate t and its embedding (t, t'), which _assemble
+    adds to every representative matched with the segment; -t' is the
+    segment's height."""
+
+    translate: ZTau
+    x: float
+    x_star: float
+
+
 @dataclass
 class PathDecomposition:
     segments: list[Segment]
@@ -102,11 +115,18 @@ class PathDecomposition:
     m: int
 
     @cached_property
-    def strips(self) -> tuple[list[Segment], list[float]]:
-        """Segments sorted by height and the edges of their horizontal
-        strips: tau', the midpoints between consecutive heights, then 1."""
-        order = sorted(self.segments, key=lambda seg: seg.height)
-        b = [seg.height for seg in order]
+    def targets(self) -> list[_Target]:
+        """The target of each segment, in order: each translate is embedded
+        once, and the strips and both data-point matchings read these."""
+        return [_Target(seg.translate, *seg.translate.embed()) for seg in self.segments]
+
+    @cached_property
+    def strips(self) -> tuple[list[_Target], list[float]]:
+        """Segment targets sorted by height and the edges of their
+        horizontal strips: tau', the midpoints between consecutive heights,
+        then 1."""
+        order = sorted(self.targets, key=lambda target: -target.x_star)
+        b = [-target.x_star for target in order]
         return order, [TAU_STAR, *(0.5 * (lo + hi) for lo, hi in zip(b, b[1:])), 1.0]
 
 
@@ -203,16 +223,6 @@ class DataPointSet:
         return len(self.points)
 
 
-#: a segment's translate t and its embedding (t, t'), which _assemble adds
-#: to every representative matched with the segment
-_Target = tuple[ZTau, float, float]
-
-
-def _target(seg: Segment) -> _Target:
-    emb = seg.translate.embed()
-    return seg.translate, emb.x, emb.x_star
-
-
 def _assemble(n: int, path: PathDecomposition, choose: Callable[[float], _Target]) -> DataPointSet:
     """One data point per representative s, on the segment choose(s') picks."""
     fracs = [Fraction(i, n) for i in range(n)]
@@ -232,12 +242,7 @@ def data_points(n: int, path: PathDecomposition) -> DataPointSet:
     segment heights; every height at the same distance joins the argmin, so
     the pick is that of the brute-force minimum over all segments.
     """
-    rows = []
-    for i, seg in enumerate(path.segments):
-        target = _target(seg)
-        _, tx, tx_star = target
-        rows.append((-tx_star, tx, i, target))  # -t' is seg.height
-    rows.sort()
+    rows = sorted((-target.x_star, target.x, i, target) for i, target in enumerate(path.targets))
     heights = [row[0] for row in rows]
     last = len(rows) - 1
 
@@ -272,13 +277,12 @@ def strip_projection_oracle(n: int, path: PathDecomposition) -> DataPointSet:
     strip boundary joins the strip below it.
     """
     order, c = path.strips
-    targets = [_target(seg) for seg in order]
 
     def choose(ss: float) -> _Target:
         idx = bisect_left(c, ss)
         if idx < 1 or idx > len(order):
             raise RuntimeError("representative escaped the strip partition")
-        return targets[idx - 1]
+        return order[idx - 1]
 
     return _assemble(n, path, choose)
 
@@ -313,21 +317,52 @@ def _cell_chord(x: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _subcell_bound(lift: TorusLift, n: int, i: int, j0: int, j1: int | None = None) -> float:
-    """An upper bound on the lift's oscillation over the run of refined
-    sub-cells [i/n, (i+1)/n] x [j0/n, j1/n] in lattice coordinates (j1
-    defaults to j0 + 1, one sub-cell): the range of the lift's piece table
-    over the run grown by _BOUND_MARGIN, plus _BOUND_SLACK; inf unless the
-    grown run lies in one support copy.  The grown run holds the grown
-    sub-cells of its members, corner by corner in floating point, so its
-    bound is at least each member's."""
-    if j1 is None:
-        j1 = j0 + 1
+def _spread(lift: TorusLift, corners: list[tuple[float, float]]) -> float:
+    """hi - lo of lift.range_on(corners), or inf when they lie in different
+    support copies."""
+    span = lift.range_on(corners)
+    return math.inf if span is None else span[1] - span[0]
+
+
+def _subcell_bound(lift: TorusLift, n: int, i: int, j0: int, j1: int) -> float:
+    """The bound of the run of refined sub-cells [i/n, (i+1)/n] x [j0/n, j1/n]
+    in lattice coordinates, grown by _BOUND_MARGIN."""
     step = 1.0 / n
     us = (i * step - _BOUND_MARGIN, i * step + step + _BOUND_MARGIN)
     vs = (j0 * step - _BOUND_MARGIN, j1 * step + _BOUND_MARGIN)
-    span = lift.range_on([(u + v * TAU, u + v * TAU_STAR) for u in us for v in vs])
-    return math.inf if span is None else span[1] - span[0] + _BOUND_SLACK
+    return _spread(lift, [(u + v * TAU, u + v * TAU_STAR) for u in us for v in vs])
+
+
+def _column_bound(lift: TorusLift, x: float, lo: float, hi: float) -> float:
+    """The bound of the vertical run of strip columns from (x, lo) to (x, hi),
+    grown by _BOUND_MARGIN."""
+    return _spread(lift, [(x, lo - _BOUND_MARGIN), (x, hi + _BOUND_MARGIN)])
+
+
+def _largest(
+    runs: list[tuple[object, int, int]],
+    bound: Callable[..., float],
+    sample: Callable[..., float],
+) -> float:
+    """The largest sample(key, j) over the members j0 <= j < j1 of the runs
+    (key, j0, j1), or 0.0, where bound(key, j0, j1) is at least the sample of
+    each member.  Runs are taken in order of decreasing bound: a longer run
+    is halved and both halves go back in, a single member is sampled.  Once
+    no bound left is larger than the largest sample, no member left can
+    raise it, so the result equals the largest of all samples bit for bit.
+    """
+    heap = [(-bound(*run), run) for run in runs]
+    heapq.heapify(heap)
+    best = 0.0
+    while heap and -heap[0][0] > best:
+        key, j0, j1 = heapq.heappop(heap)[1]
+        if j1 - j0 == 1:
+            best = max(best, sample(key, j0))
+            continue
+        k = (j0 + j1) // 2
+        for half in ((key, j0, k), (key, k, j1)):
+            heapq.heappush(heap, (-bound(*half), half))
+    return best
 
 
 def error_estimate(lift: TorusLift, n: int, path: PathDecomposition) -> ErrorEstimate:
@@ -335,114 +370,58 @@ def error_estimate(lift: TorusLift, n: int, path: PathDecomposition) -> ErrorEst
 
     eps_n is the largest oscillation of the lift over any refined sub-cell
     (sampled on a _CELL_SAMPLES^2 grid); eps_n_prime is the largest vertical
-    oscillation within any strip of the path decomposition.  Sampling makes
-    both lower bounds of the true suprema; they are reported as computed.
-
-    Only the sub-cells that can set eps_n are sampled.  A run of sub-cells
-    j0 <= j < j1 in row i gets a bound (_subcell_bound): grown by
-    _BOUND_MARGIN = 1e-9 in lattice coordinates, far above the ~1e-15
-    rounding of the sample coordinates and far below 1/n, a run inside one
-    support copy has the lift's exact range over its x-range there as bound,
-    plus _BOUND_SLACK = 1e-9 for the rounding of c + m*u; any other run has
-    bound inf.  A run's bound is at least the bound and the sampled
-    oscillation of each of its sub-cells.  The runs start as one whole row
-    each and are kept sorted by bound.  The run of largest bound is taken
-    out: a longer run is halved and both halves go back in, a single
-    sub-cell is sampled.  This stops when the largest bound left falls
-    below the largest oscillation sampled so far: no sub-cell left can
-    raise the maximum, so eps_n equals that of sampling every sub-cell bit
-    for bit.  Bounds are positive, so a constant lift still samples every
-    sub-cell.  At n = 81 about 2.1k runs are bounded, where bounding each
-    sub-cell took 6561.
-
-    Only the strip columns that cross support copies are sampled.  On one
-    copy the lift depends on x alone, and the sample coordinates of a column
-    share their x, so a column whose samples locate to one copy has
-    oscillation exactly 0.0 and cannot raise eps_n_prime.  A copy is a
-    rectangle, so it meets a vertical line in an interval: when both ends of
-    a run of columns, pushed out by _BOUND_MARGIN = 1e-9, locate to the same
-    copy, the heights between them lie in it too.  The margin is far above
-    the ~1e-15 rounding of a sample height, and the abscissae lie more than
-    5e-4 from every vertical edge of a copy, so each sample of the run
-    locates to that copy as well, and the run is skipped whole.  Runs are
-    halved until they lie in one copy or are single columns, which are
-    sampled as before; eps_n_prime equals that of sampling every column bit
-    for bit.
+    oscillation within any strip of the path decomposition (sampled at
+    _STRIP_Y_SAMPLES heights on the column at each of _STRIP_X_SAMPLES
+    abscissae).  Sampling makes both lower bounds of the true suprema; they
+    are reported as computed.  Both are taken by _largest, over the rows of
+    sub-cells and over the columns at each abscissa (see the module
+    docstring).
     """
-    # sub-cell oscillation, sampled in lattice coordinates; runs holds
-    # (bound, i, j0, j1) for runs of sub-cells in row i, largest bound last
     step = 1.0 / n
     offs = [k / (_CELL_SAMPLES - 1.0) * step for k in range(_CELL_SAMPLES)]
-    runs = sorted((_subcell_bound(lift, n, i, 0, n), i, 0, n) for i in range(n))
-    eps_n = 0.0
-    while runs:
-        bound, i, j0, j1 = runs.pop()
-        if bound < eps_n:
-            break
-        if j1 - j0 > 1:
-            k = (j0 + j1) // 2
-            insort(runs, (_subcell_bound(lift, n, i, j0, k), i, j0, k))
-            insort(runs, (_subcell_bound(lift, n, i, k, j1), i, k, j1))
-            continue
+
+    def cell(i: int, j: int) -> float:
         us = [i * step + du for du in offs]
-        vs = [j0 * step + dv for dv in offs]
+        vs = [j * step + dv for dv in offs]
         # min and max of the list keep the first extreme, as running ones do
         vals = [lift.evaluate_torus(u + v * TAU, u + v * TAU_STAR) for u in us for v in vs]
-        eps_n = max(eps_n, max(vals) - min(vals))
+        return max(vals) - min(vals)
 
-    # per-strip vertical oscillation, on the columns that cross copies
+    eps_n = _largest([(i, 0, n) for i in range(n)], partial(_subcell_bound, lift, n), cell)
+
+    # column k at abscissa x runs between the edges of strip k, cut to the
+    # cell's chord (lo, hi) at x and moved in by _STRIP_SHRINK
     _, edges = path.strips
-    eps_p = 0.0
+    strips = []
     for ix in range(_STRIP_X_SAMPLES):
         x = (ix + 0.5) / _STRIP_X_SAMPLES * (1.0 + TAU)
-        eps_p = max(eps_p, _strip_oscillation(lift, x, edges))
+        lo, hi = _cell_chord(x)
+        # columns outside [first, last) miss the chord and are empty
+        first = max(bisect_right(edges, lo) - 1, 0)
+        last = min(bisect_left(edges, hi), len(edges) - 1)
+        if first < last:
+            strips.append(((x, lo, hi), first, last))
 
+    def cut(chord: tuple[float, float, float], k0: int, k1: int) -> tuple[float, float, float]:
+        # x, the bottom of column k0 and the top of column k1 - 1
+        x, lo, hi = chord
+        return x, max(edges[k0], lo) + _STRIP_SHRINK, min(edges[k1], hi) - _STRIP_SHRINK
+
+    def columns_bound(chord: tuple[float, float, float], k0: int, k1: int) -> float:
+        return _column_bound(lift, *cut(chord, k0, k1))
+
+    def strip(chord: tuple[float, float, float], k: int) -> float:
+        x, lo, hi = cut(chord, k, k + 1)
+        if lo >= hi:
+            return 0.0
+        vals = [
+            lift.evaluate_torus(x, lo + (hi - lo) * iy / (_STRIP_Y_SAMPLES - 1.0))
+            for iy in range(_STRIP_Y_SAMPLES)
+        ]
+        return max(vals) - min(vals)
+
+    eps_p = _largest(strips, columns_bound, strip)
     return ErrorEstimate(eps_n, eps_p, SQRT5 * (eps_n + eps_p))
-
-
-def _strip_oscillation(lift: TorusLift, x: float, edges: list[float]) -> float:
-    """The largest sampled oscillation over the strip columns at abscissa x.
-
-    Column k runs between the strip's edges, cut to the cell's chord at x
-    and moved in by _STRIP_SHRINK, and is sampled at _STRIP_Y_SAMPLES
-    heights.  A run of columns whose outer ends, pushed out by
-    _BOUND_MARGIN, locate to one support copy is skipped: each of its
-    columns has oscillation exactly 0.0 (see error_estimate).  Other runs
-    are halved, down to single columns, which are sampled.
-    """
-    ch_lo, ch_hi = _cell_chord(x)
-
-    def column(k: int) -> tuple[float, float]:
-        return max(edges[k], ch_lo) + _STRIP_SHRINK, min(edges[k + 1], ch_hi) - _STRIP_SHRINK
-
-    def copy(y: float) -> tuple:
-        return lift._locate(x, y)[:3]
-
-    # columns outside [first, last) miss the chord and are empty
-    first = max(bisect_right(edges, ch_lo) - 1, 0)
-    last = min(bisect_left(edges, ch_hi), len(edges) - 1)
-    if first >= last:
-        return 0.0
-    osc = 0.0
-    bottom = copy(column(first)[0] - _BOUND_MARGIN)
-    runs = [(first, last, bottom, copy(column(last - 1)[1] + _BOUND_MARGIN))]
-    while runs:
-        i, j, bottom, top = runs.pop()
-        if bottom == top:
-            continue
-        if j - i == 1:
-            lo, hi = column(i)
-            if lo < hi:
-                vals = [
-                    lift.evaluate_torus(x, lo + (hi - lo) * iy / (_STRIP_Y_SAMPLES - 1.0))
-                    for iy in range(_STRIP_Y_SAMPLES)
-                ]
-                osc = max(osc, max(vals) - min(vals))
-            continue
-        k = (i + j) // 2
-        runs.append((i, k, bottom, copy(column(k - 1)[1] + _BOUND_MARGIN)))
-        runs.append((k, j, copy(column(k)[0] - _BOUND_MARGIN), top))
-    return osc
 
 
 def cell_quadrature(lift: TorusLift, n: int) -> float:
@@ -455,4 +434,7 @@ def cell_quadrature(lift: TorusLift, n: int) -> float:
 
 def data_quadrature(f: LocalFunction, data: DataPointSet) -> float:
     """(sqrt5/n^2) * sum of the local function over the data points."""
-    return SQRT5 * sum(data.samples(f)) / (data.n * data.n)
+    total = 0.0
+    for value in data.samples(f):
+        total += value
+    return SQRT5 * total / (data.n * data.n)

@@ -295,13 +295,16 @@ class TorusLift:
         is exact for the corners as given; rounding near the hull's edges
         is the caller's to allow for.
         """
-        located = [self._locate(x, y) for x, y in corners]
-        copy = located[0][:3]
-        if any(loc[:3] != copy for loc in located):
-            return None
-        mid, ends, pieces = copy[2]
-        lo = min(loc[3] for loc in located) - mid
-        hi = max(loc[3] for loc in located) - mid
+        a, b, table, lo = self._locate(*corners[0])
+        hi = lo
+        for x, y in corners[1:]:
+            loc = self._locate(x, y)
+            if loc[0] != a or loc[1] != b or loc[2] is not table:
+                return None
+            lo, hi = min(lo, loc[3]), max(hi, loc[3])
+        mid, ends, pieces = table
+        lo -= mid
+        hi -= mid
         first, last = bisect_right(ends, lo), bisect_right(ends, hi)
         values = []
         for k in range(first, last + 1):
@@ -316,10 +319,13 @@ class TorusLift:
 
     def cell_integral(self) -> float:
         """Integral over the fundamental cell (unnormalized)."""
-        return sum(
-            (y1 - y0) * sum((c + m * (0.5 * (u0 + u1))) * (u1 - u0) for u0, u1, c, m in pieces)
-            for (_, _, y0, y1), _, pieces in self.supports
-        )
+        total = 0.0
+        for (_, _, y0, y1), _, pieces in self.supports:
+            line = 0.0
+            for u0, u1, c, m in pieces:
+                line += (c + m * (0.5 * (u0 + u1))) * (u1 - u0)
+            total += (y1 - y0) * line
+        return total
 
 
 def torus_lift(descriptor: str) -> TorusLift:

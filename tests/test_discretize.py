@@ -6,7 +6,7 @@ from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibfourier.cutproject import Window, torus_coords
@@ -16,6 +16,7 @@ from fibfourier.discretize import (
     PathDecomposition,
     Segment,
     _cell_chord,
+    _column_bound,
     _embedded_reps,
     _subcell_bound,
     cell_quadrature,
@@ -399,6 +400,16 @@ def test_error_estimate_samples_only_the_subcells_that_can_set_eps_n():
     assert calls[0] <= 0.1 * 81 * 81 * 100
 
 
+def test_error_estimate_skips_runs_of_zero_range():
+    # a run whose range is 0.0 has sampled oscillation 0.0, so a constant
+    # lift samples only the sub-cells and columns that cross support copies;
+    # sampling every sub-cell takes 656.1k calls
+    lift = TorusLift.constant(3.0)
+    calls = _count_lift_calls(lift)
+    assert error_estimate(lift, 81, path_decomposition(passes=800)) == (0.0, 0.0, 0.0)
+    assert calls[0] <= 35_000
+
+
 def test_error_estimate_samples_only_the_strip_columns_that_cross_copies():
     # sampling every sub-cell and strip column here takes 93.9k calls; the
     # 303 sub-cells that can set eps_n take 30.3k of them
@@ -411,7 +422,8 @@ def test_error_estimate_samples_only_the_strip_columns_that_cross_copies():
 @pytest.mark.parametrize("descriptor", [NEAREST, INTERVAL])
 def test_error_estimate_bounds_runs_of_subcells(descriptor):
     # a bound for every sub-cell alone takes 81 * 81 = 6561 range_on calls;
-    # bounding runs of sub-cells takes about 2.1k
+    # bounding runs of sub-cells and of strip columns takes 2,849 (nearest)
+    # and 2,825 (interval)
     lift = torus_lift(descriptor)
     range_on = lift.range_on
     calls = [0]
@@ -502,23 +514,70 @@ def _runs(n):
     )
 
 
+def _seed_column_oscillation(lift, x, lo, hi):
+    """Sampled oscillation of the lift on the strip column from (x, lo) to
+    (x, hi), as _seed_error_estimate samples it; 0.0 when it is empty."""
+    if lo >= hi:
+        return 0.0
+    vals = [lift.evaluate_torus(x, lo + (hi - lo) * iy / (5 - 1.0)) for iy in range(5)]
+    return max(vals) - min(vals)
+
+
+# heights in [tau', 1] of the horizontal edges of the support copies, on the
+# default window and on the window moved by 1/2, and strip edges close to them
+_COPY_EDGES = sorted(
+    h
+    for h in {
+        y - s + a + b * TAU_STAR
+        for s in (0.0, 0.5)
+        for y in (-1.0 / TAU, 0.0, 1.0 / (TAU * TAU))
+        for a in range(-3, 4)
+        for b in range(-3, 4)
+    }
+    if TAU_STAR <= h <= 1.0
+)
+_NEAR_COPY_EDGES = [h + d for h in _COPY_EDGES for d in (-5e-4, -2e-8, 2e-8, 5e-4)]
+
+
 @settings(max_examples=20, derandomize=True, deadline=None)
+@example("nearest", (9, 4, (2, [(0, 9), (3, 4)])), _NEAR_COPY_EDGES)
+@example("shifted", (9, 4, (2, [(0, 9), (3, 4)])), _NEAR_COPY_EDGES)
 @given(
     st.sampled_from(sorted(_LIFTS)),
     st.integers(1, 81).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(0, n - 1), _runs(n))
     ),
+    st.lists(
+        st.floats(TAU_STAR, 1.0)
+        | st.tuples(st.sampled_from(_COPY_EDGES), st.floats(-1e-3, 1e-3)).map(sum),
+        max_size=60,
+    ),
 )
-def test_subcell_bound_dominates_sampled_oscillation(name, row):
+def test_subcell_bound_dominates_sampled_oscillation(name, row, heights):
     # every sub-cell (i, j) of a random row j, so the sub-cells that straddle
     # a piece end inside a support copy are among those checked
     n, j, (i_run, runs) = row
     lift = _LIFTS[name]()
     for i in range(n):
-        assert _subcell_bound(lift, n, i, j) >= _seed_cell_oscillation(lift, n, i, j), i
+        assert _subcell_bound(lift, n, i, j, j + 1) >= _seed_cell_oscillation(lift, n, i, j), i
     # a run's bound holds each member's bound and sampled oscillation
     for j0, j1 in runs:
         bound = _subcell_bound(lift, n, i_run, j0, j1)
         for jj in range(j0, j1):
-            assert bound >= _subcell_bound(lift, n, i_run, jj), (j0, j1, jj)
+            assert bound >= _subcell_bound(lift, n, i_run, jj, jj + 1), (j0, j1, jj)
             assert bound >= _seed_cell_oscillation(lift, n, i_run, jj), (j0, j1, jj)
+    # the same for runs of strip columns, cut as _seed_error_estimate cuts
+    # them, at every abscissa: each run of up to 4 columns, and all.  The
+    # strip edges are drawn, some close to the copy edges, where the ends of
+    # a run decide whether it crosses copies
+    edges = [TAU_STAR, *sorted(heights), 1.0]
+    for ix in range(40):
+        x = (ix + 0.5) / 40 * (1.0 + TAU)
+        ch_lo, ch_hi = _cell_chord(x)
+        cols = [(max(y0, ch_lo) + 1e-9, min(y1, ch_hi) - 1e-9) for y0, y1 in zip(edges, edges[1:])]
+        osc = [_seed_column_oscillation(lift, x, lo, hi) for lo, hi in cols]
+        m = len(cols)
+        col_runs = [(k0, k1) for k0 in range(m) for k1 in range(k0 + 1, min(k0 + 5, m + 1))]
+        for k0, k1 in [*col_runs, (0, m)]:
+            bound = _column_bound(lift, x, cols[k0][0], cols[k1 - 1][1])
+            assert bound >= max(osc[k0:k1]), (ix, k0, k1)

@@ -53,7 +53,9 @@ from .fourier import (
     coeff_integral,
     coeff_sum,
     cos_baseline,
+    evaluator,
     sup_error,
+    sup_errors,
 )
 from .ztau import (
     DELTA,
@@ -109,6 +111,7 @@ __all__ = [
     "data_quadrature",
     "enumerate_model_set",
     "error_estimate",
+    "evaluator",
     "frequency_representatives",
     "interval_sign",
     "nearest_distance",
@@ -117,6 +120,7 @@ __all__ = [
     "strip_projection_oracle",
     "substitution_points",
     "sup_error",
+    "sup_errors",
     "torus_coords",
     "torus_lift",
     "trace_pairing",

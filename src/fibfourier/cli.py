@@ -42,7 +42,9 @@ from .fourier import (
     coeff_integral,
     coeff_sum,
     cos_baseline,
+    evaluator,
     sup_error,
+    sup_errors,
 )
 from .ztau import SQRT5, TAU, ArithmeticCapacityError, QTau
 
@@ -314,13 +316,14 @@ def cmd_values(cfg: RunConfig) -> Report:
         # come first; lo + i*step is monotone in i, so the ends are enough
         for i in (0, count - 1):
             check_position(lo + i * step)
-    rows = ((_fmt(x), _fmt(f(x)), *(_fmt(ap.evaluate(x)) for ap in aps)) for x in xs)
+    values = evaluator(aps)
+    rows = ((_fmt(x), _fmt(f(x)), *map(_fmt, values(x))) for x in xs)
     extra = _path_extra(path)
     if cfg.grid is not None:
         for w_lo, w_hi in _SUMMARY_WINDOWS:
-            for name, ap in zip(("exact", "integral", "sum", "cosine"), aps):
-                key = f"sup_error_{name}_[{_fmt(w_lo)},{_fmt(w_hi)}]"
-                extra[key] = _fmt(sup_error(ap, f, w_lo, w_hi, samples=1000))
+            errors = sup_errors(aps, f, w_lo, w_hi, samples=1000)
+            for name, error in zip(("exact", "integral", "sum", "cosine"), errors):
+                extra[f"sup_error_{name}_[{_fmt(w_lo)},{_fmt(w_hi)}]"] = _fmt(error)
     return extra, ("x", "f", "f_exact", "f_int", "f_sum", "f_cos"), rows
 
 

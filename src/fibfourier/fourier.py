@@ -37,20 +37,38 @@ odd and cos even, so each term is conjugated exactly and the sum of the
 terms too.  A direct sum starts at zero, so its imaginary part is never -0.0,
 and 0.0 - im keeps it so where conj() would give -0.0.
 
-An Approximant keeps one row (re, im, p) per term, with p = (2 DELTA) k.value
-taken once, and evaluate(x) sums re cos(theta) - im sin(theta) with
-theta = 2 pi (p x) in a plain loop from 0.0, touching no Frequency and no
-complex number.  This equals evaluate_complex(x).real bit for bit: there
-1j * 2 pi * phase(x) is complex(+-0.0, 2 pi (p x)), whose cmath.exp is
-(1.0 cos theta, 1.0 sin theta); the real part of the complex product is
-re cos theta - im sin theta; and a complex sum from 0j adds the real parts
-in order from 0.0.  (A term may differ in the sign of a zero, which no sum
-from 0.0 shows.)  The loop must not become a float sum(), which is
-compensated from Python 3.12 on and would round differently.
+Approximants are evaluated by one kernel, _evaluate, over a batch: the
+approximant alone for Approximant.evaluate, all of a report's for evaluator
+and sup_errors.  At its first evaluation an approximant reads its terms into
+a plan: the distinct rows (re, im, p), with p = (2 DELTA) k.value taken once,
+and the distinct row each term adds, in term order.  A term whose row equals
+an earlier distinct row or its mirror (re, -im, -p) adds that row's value, so
+a conjugate pair costs one cos and one sin.  Approximants of a batch whose
+plans have the same p list share cos(theta) and sin(theta) with
+theta = 2 pi (p x); each forms its own values re cos(theta) - im sin(theta)
+and adds them in its own term order in a plain loop from 0.0.  Every value
+equals evaluate_complex(x).real bit for bit:
+
+* mirrored terms are equal: -(p x) and 2 pi (-(p x)) negate exactly, cos is
+  even and sin odd (tests pin this for the libm in use), so
+  re cos(-theta) - (-im) sin(-theta) rounds as re cos(theta) - im sin(theta);
+  rows that compare equal differ at most in the sign of a zero, and so do
+  their values;
+* a shared cos or sin is the one each approximant would compute, because its
+  p and x are the same, so each term is unchanged;
+* each total keeps its order from 0.0: in evaluate_complex,
+  1j * 2 pi * phase(x) is complex(+-0.0, 2 pi (p x)), whose cmath.exp is
+  (1.0 cos theta, 1.0 sin theta), the real part of each product is
+  re cos theta - im sin theta, and the sum from 0j adds them in term order
+  from 0.0; a sum from 0.0 is never -0.0, so the sign of a zero term does
+  not show;
+* there is no float sum(), which is compensated from Python 3.12 on and
+  would round differently.
 
 A periodic cosine baseline fitted on [0, 2] is included for comparison:
 a_j = (1/2) int_0^2 f(x) cos(j pi x / 2) dx for every j including j = 0,
-summed as f_cos(x) = sum_j a_j cos(j pi x / 2), from rows (j pi / 2, a_j).
+summed by the same kernel as f_cos(x) = sum_j a_j cos(j pi x / 2), from rows
+(j pi / 2, a_j) in a plain loop from 0.0, with no pairs and nothing shared.
 """
 
 from __future__ import annotations
@@ -59,7 +77,7 @@ import cmath
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .cutproject import Frequency, FrequencySet
 from .discretize import DataPointSet
@@ -213,31 +231,56 @@ class Coefficient(NamedTuple):
     value: complex
 
 
+class _Plan(NamedTuple):
+    """The distinct rows (re, im, p) of an approximant's terms, as columns,
+    and the distinct row each term adds, in term order."""
+
+    ps: tuple[float, ...]
+    res: list[float]
+    ims: list[float]
+    order: list[int]
+
+
 @dataclass
 class Approximant:
     """Finite trigonometric sum, either over dual frequencies or the cosine
     baseline (period 4).
 
-    The terms are read once, at the first evaluation, into rows (re, im, p)
-    or, for the cosine baseline, (w, a); coeffs and cosine are not to be
+    The terms are read once, at the first evaluation, into a _Plan or, for
+    the cosine baseline, rows (w, a); coeffs and cosine are not to be
     changed afterwards.  A table that is never evaluated (the coeffs and
-    coefficient-table reports) holds no rows."""
+    coefficient-table reports) holds no plan."""
 
     kind: str  # exact | integral | sum | cosine
     coeffs: list[Coefficient] = field(default_factory=list)
     cosine: list[float] = field(default_factory=list)
-    _rows: list[tuple[float, ...]] | None = field(
+    _plan: _Plan | list[tuple[float, float]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _batch: _Batch | None = field(default=None, init=False, repr=False, compare=False)
 
-    def _take_rows(self) -> list[tuple[float, ...]]:
+    def _take_plan(self) -> _Plan | list[tuple[float, float]]:
         if self.kind == "cosine":
-            self._rows = [(0.5 * math.pi * j, a) for j, a in enumerate(self.cosine)]
-        else:
-            self._rows = [
-                (c.value.real, c.value.imag, 2.0 * DELTA * c.k.value) for c in self.coeffs
-            ]
-        return self._rows
+            self._plan = [(0.5 * math.pi * j, a) for j, a in enumerate(self.cosine)]
+            return self._plan
+        index: dict[tuple[float, float, float], int] = {}
+        ps: list[float] = []
+        res: list[float] = []
+        ims: list[float] = []
+        order: list[int] = []
+        for c in self.coeffs:
+            re, im, p = c.value.real, c.value.imag, 2.0 * DELTA * c.k.value
+            i = index.get((re, im, p))
+            if i is None:
+                i = len(ps)
+                ps.append(p)
+                res.append(re)
+                ims.append(im)
+                index[re, im, p] = i
+                index.setdefault((re, -im, -p), i)
+            order.append(i)
+        self._plan = _Plan(tuple(ps), res, ims, order)
+        return self._plan
 
     def evaluate_complex(self, x: float) -> complex:
         if self.kind == "cosine":
@@ -248,25 +291,67 @@ class Approximant:
         )
 
     def evaluate(self, x: float) -> float:
-        """The real part of the sum at x, from the rows (see the module
-        docstring for why it equals evaluate_complex(x).real bit for bit)."""
-        rows = self._rows
-        if rows is None:
-            rows = self._take_rows()
-        cos = math.cos
-        total = 0.0
-        if self.kind == "cosine":
-            for w, a in rows:
-                total += a * cos(w * x)
-            return total
-        sin = math.sin
-        for re, im, p in rows:
-            theta = _TWO_PI * (p * x)
-            total += re * cos(theta) - im * sin(theta)
-        return total
+        """The real part of the sum at x, from the kernel over this
+        approximant alone (see the module docstring for why it equals
+        evaluate_complex(x).real bit for bit)."""
+        batch = self._batch
+        if batch is None:
+            batch = self._batch = _Batch((self,))
+        return _evaluate(batch, x)[0]
 
     def __call__(self, x: float) -> float:
         return self.evaluate(x)
+
+
+class _Batch:
+    """Approximants evaluated together by _evaluate.  Those whose plans have
+    the same p list form one group, which shares cos and sin; the cosine
+    baselines are summed on their own."""
+
+    def __init__(self, aps: Sequence[Approximant]) -> None:
+        groups: dict[tuple[float, ...], list[tuple[int, list[float], list[float], list[int]]]] = {}
+        self.cosines: list[tuple[int, list[tuple[float, float]]]] = []
+        for slot, ap in enumerate(aps):
+            plan = ap._plan if ap._plan is not None else ap._take_plan()
+            if isinstance(plan, _Plan):
+                groups.setdefault(plan.ps, []).append((slot, plan.res, plan.ims, plan.order))
+            else:
+                self.cosines.append((slot, plan))
+        self.size = len(aps)
+        self.groups = list(groups.items())
+
+
+def _evaluate(batch: _Batch, x: float) -> list[float]:
+    """The values at x of the batch's approximants, in order: the one
+    summation kernel."""
+    cos, sin = math.cos, math.sin
+    out = [0.0] * batch.size
+    for ps, members in batch.groups:
+        cs = []
+        ss = []
+        for p in ps:
+            theta = _TWO_PI * (p * x)
+            cs.append(cos(theta))
+            ss.append(sin(theta))
+        for slot, res, ims, order in members:
+            terms = [re * c - im * s for re, im, c, s in zip(res, ims, cs, ss)]
+            total = 0.0
+            for i in order:
+                total += terms[i]
+            out[slot] = total
+    for slot, rows in batch.cosines:
+        total = 0.0
+        for w, a in rows:
+            total += a * cos(w * x)
+        out[slot] = total
+    return out
+
+
+def evaluator(aps: Sequence[Approximant]) -> Callable[[float], list[float]]:
+    """A function of x giving the values of all of aps at x, in order, each
+    equal to ap.evaluate(x) bit for bit, from one kernel call."""
+    batch = _Batch(aps)
+    return lambda x: _evaluate(batch, x)
 
 
 def build_approximant(
@@ -317,11 +402,35 @@ def cos_baseline(f: LocalFunction, n: int, conventional: bool = False) -> Approx
     return Approximant("cosine", cosine=coeffs)
 
 
+#: sup_errors takes its grid this many positions at a time, so its memory
+#: does not grow with the number of samples
+_SUP_CHUNK = 1000
+
+
+def sup_errors(
+    aps: Sequence[Approximant], f: LocalFunction, lo: float, hi: float, samples: int = 1000
+) -> list[float]:
+    """Largest |ap - f| over an inclusive equispaced grid, for each of aps.
+
+    One pass over the grid reads f through values_at and evaluates all of
+    aps with one kernel call per position; each result equals
+    max(abs(ap.evaluate(x) - f(x)) for x in grid) bit for bit."""
+    if samples < 2 or not lo < hi:
+        raise ValueError("need lo < hi and samples >= 2")
+    step = (hi - lo) / (samples - 1)
+    batch = _Batch(aps)
+    worst: list[float] = []
+    for start in range(0, samples, _SUP_CHUNK):
+        xs = [lo + i * step for i in range(start, min(start + _SUP_CHUNK, samples))]
+        for x, fx in zip(xs, f.values_at(xs)):
+            errors = [abs(v - fx) for v in _evaluate(batch, x)]
+            # as max() does, keep the earlier error unless the later is larger
+            worst = [e if e > w else w for e, w in zip(errors, worst)] if worst else errors
+    return worst
+
+
 def sup_error(
     ap: Approximant, f: LocalFunction, lo: float, hi: float, samples: int = 1000
 ) -> float:
     """Largest |ap - f| over an inclusive equispaced grid."""
-    if samples < 2 or not lo < hi:
-        raise ValueError("need lo < hi and samples >= 2")
-    step = (hi - lo) / (samples - 1)
-    return max(abs(ap.evaluate(x) - f(x)) for x in (lo + i * step for i in range(samples)))
+    return sup_errors([ap], f, lo, hi, samples)[0]

@@ -4,11 +4,13 @@ flag validation, and exit codes."""
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 import fibfourier.cli as cli
+import fibfourier.fourier as fourier
 from fibfourier import __version__
 from fibfourier.cli import main, parse_grid, parse_window
 from fibfourier.cutproject import (
@@ -17,7 +19,7 @@ from fibfourier.cutproject import (
     enumerate_model_set,
     frequency_representatives,
 )
-from fibfourier.fibonacci import TorusLift, nearest_distance
+from fibfourier.fibonacci import LocalFunction, TorusLift, nearest_distance
 from fibfourier.fourier import coeff_exact
 from fibfourier.ztau import ArithmeticCapacityError, QTau, TAU
 
@@ -415,22 +417,46 @@ def test_compare_report(capsys):
 
 
 def test_compare_rows_are_made_as_they_are_written(monkeypatch):
+    # each kernel call evaluates all four approximants at one position
     calls = []
-    evaluate = cli.Approximant.evaluate
+    evaluate = fourier._evaluate
     monkeypatch.setattr(
-        cli.Approximant, "evaluate", lambda ap, x: calls.append(x) or evaluate(ap, x)
+        fourier, "_evaluate", lambda batch, x: calls.append(batch.size) or evaluate(batch, x)
+    )
+    reads = []  # how many positions each read of f covers
+    call, values_at = LocalFunction.__call__, LocalFunction.values_at
+    monkeypatch.setattr(LocalFunction, "__call__", lambda f, t: reads.append(1) or call(f, t))
+    monkeypatch.setattr(
+        LocalFunction, "values_at", lambda f, ts: reads.append(len(ts)) or values_at(f, ts)
     )
     cfg = cli.RunConfig(
         command="compare", n=3, range_r=21.64, function="nearest", cosine_n=10, grid="0:15:600"
     )
     _, _, rows = cli.cmd_values(cfg)
-    sup_calls = len(calls)  # 4 approximants x 3 windows x 1000 samples
-    assert sup_calls == 12000
+    sup_calls = len(calls)  # 3 windows x 1000 samples
+    assert sup_calls == 3000 and set(calls) == {4}
+    assert reads.count(1000) == 3 and 1 not in reads  # f once per sample, in one read per window
+    sup_reads = len(reads)
     rows = iter(rows)
     assert next(rows)[0] == "0"
-    assert len(calls) == sup_calls + 4
+    assert len(calls) == sup_calls + 1
     assert sum(1 for _ in rows) == 599
-    assert len(calls) == sup_calls + 4 * 600
+    assert len(calls) == sup_calls + 600
+    assert reads[sup_reads:] == [1] * 600
+
+
+def test_one_compare_position_takes_one_cos_and_sin_per_pair(monkeypatch):
+    path = cli._resolve_path(cli.RunConfig(command="compare", range_r=40.0))
+    _, aps = cli._approximants(cli._ESTIMATORS, 9, "interval", path)
+    values = cli.evaluator(aps)
+    values(-480.0)  # the plans are taken at the first evaluation
+    calls = []
+    cos, sin = math.cos, math.sin
+    monkeypatch.setattr(math, "cos", lambda t: calls.append("cos") or cos(t))
+    monkeypatch.setattr(math, "sin", lambda t: calls.append("sin") or sin(t))
+    values(-472.5)
+    # one pass per approximant took 3 x 81 = 243 of each
+    assert calls.count("cos") == calls.count("sin") == 41
 
 
 def test_singularity_report_defaults(capsys):

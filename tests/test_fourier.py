@@ -6,6 +6,7 @@ import gc
 import math
 import random
 import weakref
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -35,8 +36,10 @@ from fibfourier.fourier import (
     coeff_integral,
     coeff_sum,
     cos_baseline,
+    evaluator,
     line_integral,
     sup_error,
+    sup_errors,
 )
 from fibfourier.ztau import DELTA, DELTA_STAR, QTau, SQRT5, TAU, ZTau
 
@@ -613,6 +616,128 @@ def test_empty_sums_are_float_zero():
     assert repr(Approximant("exact", []).evaluate(1.5)) == "0.0"
 
 
+# -- one summation kernel: pairs, shared cos/sin ---------------------------------
+
+#: the ends of the paper-size compare grids and of the summary windows, and
+#: the far ends of +-1e4
+_KERNEL_XS = [0.0, 15.0, 200.0, 215.0, -115.0, -100.0, -480.0, -465.0, 485.0, 500.0, 1.0e4, -1.0e4]
+
+
+def _term_by_term(ap, x):
+    """One term per coefficient (or cosine weight), added in order from 0.0:
+    what the plans and the shared cos/sin must reproduce."""
+    total = 0.0
+    if ap.kind == "cosine":
+        for j, a in enumerate(ap.cosine):
+            total += a * math.cos(0.5 * math.pi * j * x)
+        return total
+    for c in ap.coeffs:
+        theta = 2.0 * math.pi * (2.0 * DELTA * c.k.value * x)
+        total += c.value.real * math.cos(theta) - c.value.imag * math.sin(theta)
+    return total
+
+
+def _window(name):
+    return Window.default() if name == "default" else Window.default().shifted(QTau(Fraction(1, 2)))
+
+
+@functools.lru_cache(maxsize=None)
+def _estimators(n, name, window):
+    """The three estimators' approximants of one function on one window, and
+    the function."""
+    w = _window(window)
+    f = _FUNCTIONS[name](w)
+    freqs = frequency_representatives(n)
+    path = path_decomposition(passes=40)
+    aps = (
+        build_approximant("exact", freqs, lift=TorusLift(f.rule, w)),
+        build_approximant("integral", freqs, f=f, r=path.r),
+        build_approximant("sum", freqs, f=f, data=data_points(n, path)),
+    )
+    return f, aps
+
+
+def _assert_kernel_matches(aps, xs):
+    values = evaluator(aps)
+    for x in xs:
+        for ap, v in zip(aps, values(x), strict=True):
+            assert repr(v) == repr(ap.evaluate(x)) == repr(_term_by_term(ap, x)), (ap.kind, x)
+            if ap.kind != "cosine":
+                assert repr(v) == repr(ap.evaluate_complex(x).real), (ap.kind, x)
+
+
+@pytest.mark.parametrize("window", ["default", "shifted"])
+@pytest.mark.parametrize("name", sorted(_FUNCTIONS))
+@pytest.mark.parametrize("n", [1, 3, 7, 9])
+def test_kernel_matches_each_evaluation_bitwise(n, name, window):
+    f, aps = _estimators(n, name, window)
+    _assert_kernel_matches([*aps, cos_baseline(f, 50)], _KERNEL_XS)
+
+
+def test_plan_adds_one_term_per_conjugate_pair():
+    _, aps = _estimators(9, "interval", "default")
+    for ap in aps:
+        ap.evaluate(-480.0)
+        # -k of representative i sits at 80 - i, and k = 0 at 40
+        assert ap._plan.order == [*range(41), *range(39, -1, -1)]
+
+
+def test_plan_reuses_only_exact_mirrors():
+    freqs = frequency_representatives(3)
+    rng = random.Random(71)
+    drawn = [complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in freqs]
+    # a_{-k} is not conj(a_k): every term is its own
+    loose = Approximant("exact", [Coefficient(k, v) for k, v in zip(freqs, drawn)])
+    # a_{-k} = conj(a_k) but for one pair, which is off by one ulp
+    paired = [drawn[i] if i <= 4 else drawn[8 - i].conjugate() for i in range(9)]
+    paired[7] = complex(paired[7].real, math.nextafter(paired[7].imag, 2.0))
+    near = Approximant("exact", [Coefficient(k, v) for k, v in zip(freqs, paired)])
+    xs = _KERNEL_XS + [rng.uniform(-1.0e4, 1.0e4) for _ in range(50)]
+    _assert_kernel_matches([loose, near], xs)
+    assert loose._plan.order == list(range(9))
+    assert near._plan.order == [0, 1, 2, 3, 4, 3, 2, 5, 0]
+
+
+def test_kernel_shares_nothing_across_frequency_sets(monkeypatch):
+    _, (small, *_) = _estimators(3, "nearest", "default")
+    _, (big, *_) = _estimators(9, "nearest", "default")
+    _assert_kernel_matches([small, big], _KERNEL_XS)
+    values = evaluator([small, big])
+    calls = []
+    cos, sin = math.cos, math.sin
+    monkeypatch.setattr(math, "cos", lambda t: calls.append("cos") or cos(t))
+    monkeypatch.setattr(math, "sin", lambda t: calls.append("sin") or sin(t))
+    values(7.5)
+    assert calls.count("cos") == calls.count("sin") == 5 + 41
+
+
+def test_libm_parity_on_the_evaluated_angles():
+    """The pairs rest on cos(-theta) == cos(theta) and sin(-theta) == -sin(theta)
+    bit for bit.  Check it for every angle the n <= 9 frequencies take on a
+    grid over +-1e4, so that a libm where it fails stops here instead of the
+    reports printing other bytes."""
+    ps = sorted({2.0 * DELTA * k.value for n in range(1, 10) for k in frequency_representatives(n)})
+    xs = [-1.0e4 + i * 10.0 for i in range(2001)] + _KERNEL_XS
+    thetas = [fourier._TWO_PI * (p * x) for p in ps for x in xs]
+    mirrored = [fourier._TWO_PI * (-p * x) for p in ps for x in xs]
+    assert array("d", mirrored) == array("d", [-t for t in thetas])
+    for name, sign in (("cos", 1.0), ("sin", -1.0)):
+        fn = getattr(math, name)
+        got = array("d", map(fn, mirrored)).tobytes()
+        want = array("d", [sign * v for v in map(fn, thetas)]).tobytes()
+        if got != want:
+            bad = next(t for t in thetas if repr(fn(-t)) != repr(sign * fn(t)))
+            parity = "even" if sign > 0 else "odd"
+            pytest.fail(f"math.{name} is not {parity} bit for bit at {bad!r}")
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.floats(-1.0e6, 1.0e6))
+def test_libm_parity_any_angle(theta):
+    assert repr(math.cos(-theta)) == repr(math.cos(theta))
+    assert repr(math.sin(-theta)) == repr(-math.sin(theta))
+
+
 def test_exact_approximant_reference_values():
     ap = build_approximant("exact", frequency_representatives(3), lift=NEAR_LIFT)
     assert ap.evaluate(0.5 + TAU) == pytest.approx(0.3318, abs=5e-4)
@@ -727,3 +852,16 @@ def test_sup_error_matches_the_seed_grid_bitwise(lo, hi, samples):
     step = (hi - lo) / (samples - 1)
     seed = max(abs(ap.evaluate(lo + i * step) - f(lo + i * step)) for i in range(samples))
     assert repr(sup_error(ap, f, lo, hi, samples)) == repr(seed)
+
+
+@pytest.mark.parametrize("lo,hi,samples", [(0.0, 15.0, 1000), (-480.0, -465.0, 2500)])
+def test_sup_errors_read_f_once_per_sample(lo, hi, samples):
+    f = _CountingFunction()
+    _, aps = _estimators(3, "nearest", "default")
+    aps = [*aps, cos_baseline(f, 50)]
+    errors = sup_errors(aps, f, lo, hi, samples)
+    assert f.evaluations == samples  # not one per approximant and sample
+    step = (hi - lo) / (samples - 1)
+    for ap, error in zip(aps, errors, strict=True):
+        seed = max(abs(ap.evaluate(lo + i * step) - f(lo + i * step)) for i in range(samples))
+        assert repr(error) == repr(seed) == repr(sup_error(ap, f, lo, hi, samples))

@@ -13,20 +13,36 @@ estimators for a_k are provided:
   evaluated piecewise exactly since f is piecewise linear;
 * sum: the data-point average (1/N^2) sum_j f(u_j) exp(-2 pi i 2 DELTA k u_j).
 
-One per-piece transform (_transform, over rows (mid, half, A, B) of linear
-pieces) serves line integrals, the lift's pieces and the rectangles'
-internal extents (one constant piece each).  The estimators stay one call
-per frequency, but the work that depends only on the function is done once:
-the exact estimator takes a lift's rows once per lift, the sum reads f at
-each data point once per DataPointSet (DataPointSet.samples), and the
-integral reads the pieces over [lo, hi] once per function and range, as rows
-that each frequency then walks.  A frequency costs one complex exponential
-per data point (sum) or one complex exponential per piece and one sine and
-cosine per distinct piece width (integral, exact).  The memos are keyed
-weakly by the function or lift, so they vanish with it, and a function's row
-memo keeps only its last range.  Every sum adds the same terms in the same
-order as the one-term-at-a-time formulas, so the coefficients are
-bit-identical to them.
+One per-piece transform (_transform) serves line integrals, the lift's
+pieces and the rectangles' internal extents (one constant piece each).  It
+reads the pieces as columns (_Pieces): the distinct half-widths, and per
+piece its midpoint, the slot of its half-width, A and B.  The estimators stay
+one call per frequency, but the work that depends only on the function is
+done once: the exact estimator takes a lift's pieces once per lift, the sum
+reads f at each data point once per DataPointSet (DataPointSet.samples), and
+the integral reads the pieces over [lo, hi] once per function and range.  The
+memos are keyed weakly by the function or lift, so they vanish with it, and a
+function's piece memo keeps only its last range.
+
+A frequency costs one cos and one sin per data point (sum) or per piece, and
+one sinc and h per distinct half-width (integral, exact), summed in plain
+float loops from 0.0 with t = (-w) u:
+
+* sum: re += f(u) cos t and im += f(u) sin t over the data points u;
+* transform: with ar = A sinc and bh = B h, re += ar cos t + bh sin t and
+  im += ar sin t - bh cos t over the pieces, t = (-w) mid;
+
+and complex(re, im) is the result.  These are the bits of the per-term
+complex formulas, f(u) exp(-i w u) and (A sinc - i B h) exp(-i w mid) added
+in order from 0j.  Python multiplies complex numbers as
+(a + ib)(c + id) = (ac - bd) + i(ad + bc), with a float read as (x, 0.0), and
+-1j * w is complex(+-0.0, -w), so the exponent -1j * w * u is
+complex(+-0.0, t) and cmath.exp gives (1.0 cos t, 1.0 sin t).  Each part of
+each complex term is then the float expression above, except that a zero may
+differ in sign; a sum from 0.0 is never -0.0, so the sign of a zero term does
+not show.  The evaluation kernel below rests on the same argument.  No sum in
+this module uses sum(): it is compensated for floats from Python 3.12 on and
+for complex numbers from 3.14 on, and would round differently.
 
 The functions and lifts are real, so a_{-k} = conj(a_k), and a pair k, -k
 costs one pass of the kernel: computing a_k (k != 0) leaves
@@ -56,14 +72,10 @@ equals evaluate_complex(x).real bit for bit:
   their values;
 * a shared cos or sin is the one each approximant would compute, because its
   p and x are the same, so each term is unchanged;
-* each total keeps its order from 0.0: in evaluate_complex,
-  1j * 2 pi * phase(x) is complex(+-0.0, 2 pi (p x)), whose cmath.exp is
-  (1.0 cos theta, 1.0 sin theta), the real part of each product is
-  re cos theta - im sin theta, and the sum from 0j adds them in term order
-  from 0.0; a sum from 0.0 is never -0.0, so the sign of a zero term does
-  not show;
-* there is no float sum(), which is compensated from Python 3.12 on and
-  would round differently.
+* each total keeps its term order from 0.0, so by the float-loop argument
+  above it is evaluate_complex(x).real: there the exponent
+  1j * 2 pi * phase(x) is complex(+-0.0, theta), and the real part of each
+  product is re cos theta - im sin theta.
 
 A periodic cosine baseline fitted on [0, 2] is included for comparison:
 a_j = (1/2) int_0^2 f(x) cos(j pi x / 2) dx for every j including j = 0,
@@ -86,55 +98,81 @@ from .ztau import DELTA, DELTA_STAR, SQRT5
 
 _TWO_PI = 2.0 * math.pi
 
-_PieceRow = tuple[float, float, float, complex]  # (mid, half, A, B)
 _Partners = dict[Frequency, complex]  # a_{-k} left by the computation of a_k
-#: per live local function, the piece rows of the last range it was
-#: integrated over and the partners of the coefficients on [0, range]
+
+
+class _Pieces(NamedTuple):
+    """Linear pieces as columns for _transform: the distinct half-widths,
+    and per piece its midpoint, the slot of its half-width in halves, and
+    A = 2 half (c + m mid) and B = 2 m half^2."""
+
+    halves: list[float]
+    mids: list[float]
+    slots: list[int]
+    a: list[float]
+    b: list[float]
+
+
+#: per live local function, the pieces of the last range it was integrated
+#: over and the partners of the coefficients on [0, range]
 _ROWS: weakref.WeakKeyDictionary[
-    LocalFunction, tuple[float, float, list[_PieceRow], _Partners]
+    LocalFunction, tuple[float, float, _Pieces, _Partners]
 ] = weakref.WeakKeyDictionary()
-#: per live lift, the rows of its support rectangles and the partners
+#: per live lift, the pieces of its support rectangles and the partners
 _LIFT_ROWS: weakref.WeakKeyDictionary[
-    TorusLift, tuple[list[tuple[float, list[_PieceRow], list[_PieceRow]]], _Partners]
+    TorusLift, tuple[list[tuple[float, _Pieces, _Pieces]], _Partners]
 ] = weakref.WeakKeyDictionary()
 
 
-def _rows(pieces: Iterable[LinearPiece]) -> list[_PieceRow]:
-    """Pieces (x0, x1, c, m) as rows (mid, half, A, B) for _transform."""
-    rows = []
+def _rows(pieces: Iterable[LinearPiece]) -> _Pieces:
+    """Pieces (x0, x1, c, m) as columns for _transform."""
+    slot_of: dict[float, int] = {}
+    columns = _Pieces([], [], [], [], [])
     for x0, x1, c, m in pieces:
         mid = 0.5 * (x0 + x1)
         half = 0.5 * (x1 - x0)
-        rows.append((mid, half, (c + m * mid) * 2.0 * half, 2.0j * m * half * half))
-    return rows
+        slot = slot_of.get(half)
+        if slot is None:
+            slot = slot_of[half] = len(columns.halves)
+            columns.halves.append(half)
+        columns.mids.append(mid)
+        columns.slots.append(slot)
+        columns.a.append((c + m * mid) * 2.0 * half)
+        columns.b.append(2.0 * m * half * half)
+    return columns
 
 
-def _transform(rows: list[_PieceRow], w: float) -> complex:
-    """int (c + m x) exp(-i w x) dx summed over the pieces given as rows.
+def _transform(pieces: _Pieces, w: float) -> complex:
+    """int (c + m x) exp(-i w x) dx summed over the pieces.
 
     Per piece, the integral over mid +- half is
-    (A sinc(z) - B h(z)) exp(-i w mid) with z = w*half,
-    h(z) = (sin z - z cos z)/z^2 (series z/3 - z^3/30 near 0).
+    (A sinc(z) - i B h(z)) exp(-i w mid) with z = w*half,
+    h(z) = (sin z - z cos z)/z^2 (series z/3 - z^3/30 near 0); sinc and h
+    are taken once per distinct half-width.
     """
-    sin, cos, exp = math.sin, math.cos, cmath.exp
-    nw = -1j * w
-    shapes: dict[float, tuple[float, float]] = {}  # half -> (sinc, h)
-    terms = []
-    for mid, half, a, b in rows:
-        shape = shapes.get(half)
-        if shape is None:
-            z = w * half
-            if abs(z) < 1e-4:
-                sinc = 1.0 if abs(z) < 1e-12 else sin(z) / z
-                h = z / 3.0 - z * z * z / 30.0
-            else:
-                s = sin(z)
-                sinc = s / z
-                h = (s - z * cos(z)) / (z * z)
-            shape = shapes[half] = (sinc, h)
-        sinc, h = shape
-        terms.append((a * sinc - b * h) * exp(nw * mid))
-    return sum(terms, start=0j)
+    sin, cos = math.sin, math.cos
+    sincs = []
+    hs = []
+    for half in pieces.halves:
+        z = w * half
+        if abs(z) < 1e-4:
+            sincs.append(1.0 if abs(z) < 1e-12 else sin(z) / z)
+            hs.append(z / 3.0 - z * z * z / 30.0)
+        else:
+            s = sin(z)
+            sincs.append(s / z)
+            hs.append((s - z * cos(z)) / (z * z))
+    nw = -w
+    re = im = 0.0
+    for mid, slot, a, b in zip(pieces.mids, pieces.slots, pieces.a, pieces.b):
+        t = nw * mid
+        c = cos(t)
+        s = sin(t)
+        ar = a * sincs[slot]
+        bh = b * hs[slot]
+        re += ar * c + bh * s
+        im += ar * s - bh * c
+    return complex(re, im)
 
 
 def _keep_partner(partners: _Partners, k: Frequency, value: complex) -> complex:
@@ -144,12 +182,10 @@ def _keep_partner(partners: _Partners, k: Frequency, value: complex) -> complex:
     return value
 
 
-def _lift_rows(
-    lift: TorusLift,
-) -> tuple[list[tuple[float, list[_PieceRow], list[_PieceRow]]], _Partners]:
-    """Per support rectangle of the lift, its midpoint abscissa, the rows of
-    the rule's centred pieces and the row of the internal extent (a constant
-    piece), taken once per lift, and the lift's partners."""
+def _lift_rows(lift: TorusLift) -> tuple[list[tuple[float, _Pieces, _Pieces]], _Partners]:
+    """Per support rectangle of the lift, its midpoint abscissa, the rule's
+    centred pieces and the internal extent (a constant piece), taken once
+    per lift, and the lift's partners."""
     memo = _LIFT_ROWS.get(lift)
     if memo is None:
         rows = [
@@ -176,16 +212,15 @@ def coeff_exact(k: Frequency, lift: TorusLift) -> complex:
     wx = 2.0 * _TWO_PI * DELTA * k.value
     wy = 2.0 * _TWO_PI * DELTA_STAR * k.value_star
     nwx = -1j * wx
-    terms = [
-        cmath.exp(nwx * mid) * _transform(x_rows, wx) * _transform(y_rows, wy)
-        for mid, x_rows, y_rows in rows
-    ]
-    return _keep_partner(partners, k, sum(terms, start=0j) / SQRT5)
+    total = 0j
+    for mid, x_pieces, y_pieces in rows:
+        total += cmath.exp(nwx * mid) * _transform(x_pieces, wx) * _transform(y_pieces, wy)
+    return _keep_partner(partners, k, total / SQRT5)
 
 
-def _range_rows(f: LocalFunction, lo: float, hi: float) -> tuple[list[_PieceRow], _Partners]:
-    """The pieces of f clipped to [lo, hi] as rows (mid, half, A, B), taken
-    once per function and range, and the partners of that range."""
+def _range_rows(f: LocalFunction, lo: float, hi: float) -> tuple[_Pieces, _Partners]:
+    """The pieces of f clipped to [lo, hi] as columns, taken once per
+    function and range, and the partners of that range."""
     memo = _ROWS.get(f)
     if memo is None or memo[0] != lo or memo[1] != hi:
         memo = _ROWS[f] = (lo, hi, _rows(f.linear_pieces(lo, hi)), {})
@@ -211,9 +246,14 @@ def coeff_integral(k: Frequency, f: LocalFunction, r: float) -> complex:
 
 def _sample_sum(samples: list[float], values: list[float], w: float) -> complex:
     """sum_j f(u_j) exp(-i w u_j) over the samples f(u_j) at the values u_j."""
-    nw = -1j * w
-    exp = cmath.exp
-    return sum(fu * exp(nw * u) for fu, u in zip(samples, values))
+    nw = -w
+    cos, sin = math.cos, math.sin
+    re = im = 0.0
+    for fu, u in zip(samples, values):
+        t = nw * u
+        re += fu * cos(t)
+        im += fu * sin(t)
+    return complex(re, im)
 
 
 def coeff_sum(k: Frequency, f: LocalFunction, data: DataPointSet) -> complex:
@@ -285,10 +325,10 @@ class Approximant:
     def evaluate_complex(self, x: float) -> complex:
         if self.kind == "cosine":
             return complex(self.evaluate(x))
-        return sum(
-            (c.value * cmath.exp(1j * _TWO_PI * c.k.phase(x)) for c in self.coeffs),
-            start=0j,
-        )
+        total = 0j
+        for c in self.coeffs:
+            total += c.value * cmath.exp(1j * _TWO_PI * c.k.phase(x))
+        return total
 
     def evaluate(self, x: float) -> float:
         """The real part of the sum at x, from the kernel over this

@@ -215,8 +215,10 @@ def test_coeff_integral_reference_rows():
     assert v == pytest.approx(0.0236 + 0.0292j, abs=1e-3)
 
 
-# The estimators as first written, one term per piece or data point.  The
-# tests below hold the batched code in fibfourier.fourier to the same bits.
+# The estimators as first written, one term per piece or data point, in
+# complex arithmetic.  The tests below hold the float loops in
+# fibfourier.fourier to the same bits.  Each adds its terms in a plain loop
+# from 0j: sum() of complex numbers is compensated from Python 3.14 on.
 
 
 def _ref_sinc(z):
@@ -229,24 +231,42 @@ def _ref_hfun(z):
     return (math.sin(z) - z * math.cos(z)) / (z * z)
 
 
-def _ref_line_integral(f, w, lo, hi):
-    def piece(x0, x1, c, m):
+def _ref_transform(pieces, w):
+    total = 0j
+    for x0, x1, c, m in pieces:
         mid = 0.5 * (x0 + x1)
         half = 0.5 * (x1 - x0)
         z = w * half
         val = (c + m * mid) * 2.0 * half * _ref_sinc(z) - 2.0j * m * half * half * _ref_hfun(z)
-        return val * cmath.exp(-1j * w * mid)
+        total += val * cmath.exp(-1j * w * mid)
+    return total
 
-    return sum((piece(*p) for p in f.linear_pieces(lo, hi)), start=0j)
+
+def _ref_line_integral(f, w, lo, hi):
+    return _ref_transform(f.linear_pieces(lo, hi), w)
 
 
 def _ref_coeff_integral(k, f, r):
     return _ref_line_integral(f, _angular(k), 0.0, r) / r
 
 
-def _ref_coeff_sum(k, f, data):
+def _ref_coeff_sum(k, f, data, samples=None):
+    """samples, if given, are f at data.values, read once for many k."""
     w = _angular(k)
-    return sum(f(u) * cmath.exp(-1j * w * u) for u in data.values) / (data.n * data.n)
+    total = 0j
+    for fu, u in zip(samples or [f(u) for u in data.values], data.values):
+        total += fu * cmath.exp(-1j * w * u)
+    return total / (data.n * data.n)
+
+
+def _ref_coeff_exact(k, lift):
+    wx = _angular(k)
+    wy = 2.0 * (2.0 * math.pi) * DELTA_STAR * k.value_star
+    total = 0j
+    for (_, _, y0, y1), mid, pieces in lift.supports:
+        x_part = cmath.exp(-1j * wx * mid) * _ref_transform(pieces, wx)
+        total += x_part * _ref_transform([(y0, y1, 1.0, 0.0)], wy)
+    return total / SQRT5
 
 
 _FUNCTIONS = {"nearest": nearest_distance, "interval": interval_sign}
@@ -290,6 +310,79 @@ def test_line_integral_far_from_origin_bitwise(name):
     rates = [1e-13, -2e-9, 3e-6] + [_angular(k) for k in frequency_representatives(9)]
     for w in rates:
         assert line_integral(f, w, lo, hi) == _ref_line_integral(ref, w, lo, hi)
+
+
+# The float loops differ from the complex products of the references only in
+# the sign of a zero; these cases make zeros: t = -0.0 * mid at k = 0,
+# all-zero terms, negative midpoints and A = 0.
+
+
+def _centred_ramp(p, q, tile):
+    # f(x) = x - mid on each tile: c + m * mid = 0 on every whole piece
+    mid = 0.5 * (p + q)
+    return [(p, q, -mid, 1.0)]
+
+
+_ZERO_CASES = {
+    **_FUNCTIONS,
+    "zero": lambda: constant(0.0),
+    "ramp": lambda: LocalFunction(_centred_ramp),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ZERO_CASES))
+def test_signed_zero_cases_match_per_term_formulas_bitwise(name):
+    make = _ZERO_CASES[name]
+    if name == "ramp":
+        pieces = make().linear_pieces(-50.3, -10.1)
+        assert sum(1 for x0, x1, c, m in pieces if c + m * (0.5 * (x0 + x1)) == 0.0) >= 20
+    path = path_decomposition(passes=14)
+    data = data_points(3, path)
+    f, ref = make(), make()
+    samples = [ref(u) for u in data.values]
+    for k in frequency_representatives(3):
+        got = (repr(coeff_integral(k, f, path.r)), repr(coeff_sum(k, f, data)))
+        assert got == (
+            repr(_ref_coeff_integral(k, ref, path.r)),
+            repr(_ref_coeff_sum(k, ref, data, samples)),
+        ), k
+        if name == "zero":
+            assert got == ("0j", "0j"), k
+    rates = [0.0, -0.0, 1e-13, -2e-9, 3e-6, 1.0, -7.5]
+    rates += [_angular(k) for k in frequency_representatives(5)]
+    for w in rates:
+        got = repr(line_integral(f, w, -50.3, -10.1))
+        assert got == repr(_ref_line_integral(ref, w, -50.3, -10.1)), w
+        if name == "zero":
+            assert got == "0j", w
+    lift = TorusLift(f.rule)
+    for k in frequency_representatives(3):
+        got = repr(coeff_exact(k, lift))
+        assert got == repr(_ref_coeff_exact(k, lift)), k
+        if name == "zero":
+            assert got == "0j", k
+
+
+@pytest.mark.parametrize("window", ["default", "shifted"])
+@pytest.mark.parametrize("name", sorted(_FUNCTIONS))
+def test_full_set_at_n27_matches_per_term_formulas_bitwise(name, window):
+    w = _window(window)
+    path = path_decomposition(passes=40)
+    data = data_points(27, path)
+    f, ref = _FUNCTIONS[name](w), _FUNCTIONS[name](w)
+    lift = TorusLift(f.rule, w)
+    samples = [ref(u) for u in data.values]
+    for k in frequency_representatives(27):
+        got = (
+            repr(coeff_exact(k, lift)),
+            repr(coeff_integral(k, f, path.r)),
+            repr(coeff_sum(k, f, data)),
+        )
+        assert got == (
+            repr(_ref_coeff_exact(k, lift)),
+            repr(_ref_coeff_integral(k, ref, path.r)),
+            repr(_ref_coeff_sum(k, ref, data, samples)),
+        ), k
 
 
 @pytest.mark.parametrize("name", sorted(_FUNCTIONS))
@@ -609,6 +702,32 @@ def test_evaluate_reads_no_frequency(monkeypatch):
     with pytest.raises(AssertionError):
         ap.evaluate_complex(1.0)
     assert [ap.evaluate(x) for x in _EVAL_XS] == before
+
+
+def test_fourier_calls_no_sum(monkeypatch):
+    # sum() is compensated for floats from Python 3.12 on and for complex
+    # numbers from 3.14 on, so every sum in the module is a plain loop; a
+    # module global shadows the builtin
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("sum() called in fibfourier.fourier")
+
+    monkeypatch.setattr(fourier, "sum", refuse, raising=False)
+    freqs = frequency_representatives(3)
+    path = path_decomposition(passes=14)
+    f = nearest_distance()
+    aps = [
+        build_approximant("exact", freqs, lift=TorusLift(f.rule)),
+        build_approximant("integral", freqs, f=f, r=path.r),
+        build_approximant("sum", freqs, f=f, data=data_points(3, path)),
+        cos_baseline(f, 10),
+    ]
+    line_integral(f, 1.0, -3.0, 5.0)
+    for ap in aps:
+        ap.evaluate(1.3)
+        ap.evaluate_complex(1.3)
+    sup_errors(aps, f, 0.0, 5.0, samples=50)
+    with pytest.raises(AssertionError):
+        fourier.sum([])
 
 
 def test_empty_sums_are_float_zero():

@@ -18,7 +18,6 @@ from .cutproject import (
     Window,
     enumerate_model_set,
     frequency_representatives,
-    torus_coords,
 )
 from .discretize import (
     DataPoint,
@@ -32,7 +31,6 @@ from .discretize import (
     data_quadrature,
     error_estimate,
     path_decomposition,
-    refinement_reps,
     strip_projection_oracle,
 )
 from .fibonacci import (
@@ -67,7 +65,6 @@ from .ztau import (
     EmbeddedPair,
     QTau,
     ZTau,
-    trace_pairing,
 )
 
 __version__ = "0.1.0"
@@ -116,12 +113,9 @@ __all__ = [
     "interval_sign",
     "nearest_distance",
     "path_decomposition",
-    "refinement_reps",
     "strip_projection_oracle",
     "substitution_points",
     "sup_error",
     "sup_errors",
-    "torus_coords",
     "torus_lift",
-    "trace_pairing",
 ]

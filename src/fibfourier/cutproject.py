@@ -15,15 +15,11 @@ import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from operator import itemgetter
 from typing import NamedTuple, Union
 
 from .ztau import (
-    DELTA,
-    DELTA_STAR,
     SQRT5,
     TAU,
     TAU_STAR,
@@ -133,8 +129,8 @@ class ApproxWindow:
         includes_hi: bool = False,
         tol: float = 1e-12,
     ) -> None:
-        if not lo < hi:
-            raise ValueError("window endpoints must satisfy lo < hi")
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError("window endpoints must be finite and satisfy lo < hi")
         self.lo = float(lo)
         self.hi = float(hi)
         self.includes_lo = includes_lo
@@ -169,16 +165,14 @@ AnyWindow = Union[Window, ApproxWindow]
 class ModelPoint(NamedTuple):
     value: float
     algebraic: ZTau
-    tile: str  # tile starting at this point: "long" (tau) or "short" (1)
+    # tile starting at this point: "long" (tau), "short" (1) or, on a window
+    # of length other than tau, "other"
+    tile: str
 
 
 @dataclass
 class ModelSetSlice:
     points: list[ModelPoint]
-
-    @cached_property
-    def values(self) -> list[float]:
-        return [p.value for p in self.points]
 
     def __len__(self) -> int:
         return len(self.points)
@@ -222,24 +216,18 @@ def _tagged_range(window: AnyWindow, lo: float, hi: float) -> list[tuple[float, 
     return raw
 
 
-def _tile_tag(gap: float) -> str:
-    if abs(gap - TAU) < 1e-9:
-        return "long"
-    if abs(gap - 1.0) < 1e-9:
-        return "short"
-    # windows of length other than tau produce other gap values; classify
-    # by the nearest reference length
-    return "long" if gap > (1.0 + TAU) / 2.0 else "short"
+#: the exact step (a, b) from a point to the next, by tile
+_TILES = {(0, 1): "long", (1, 0): "short"}
 
 
 def enumerate_model_set(window: AnyWindow, lo: float, hi: float) -> ModelSetSlice:
     """All model-set points x with lo <= x <= hi, sorted, tagged by tile."""
     raw = _tagged_range(window, lo, hi)
     points: list[ModelPoint] = []
-    for (v, a, b), (w, _, _) in zip(raw, raw[1:]):
+    for (v, a, b), (_, a1, b1) in zip(raw, raw[1:]):
         if v > hi:
             break
-        points.append(ModelPoint(v, ZTau(a, b), _tile_tag(w - v)))
+        points.append(ModelPoint(v, ZTau(a, b), _TILES.get((a1 - a, b1 - b), "other")))
     return ModelSetSlice(points)
 
 
@@ -251,21 +239,11 @@ def count_model_set(window: AnyWindow, lo: float, hi: float, closed: bool = True
     return (bisect_right if closed else bisect_left)(raw, hi, key=itemgetter(0))
 
 
-def torus_coords(t: float) -> tuple[float, float]:
-    """Lattice coordinates in [0,1)^2 of the line point (t, 0) modulo the
-    scheme lattice."""
-    return (DELTA * t) % 1.0, (TAU * DELTA * t) % 1.0
-
-
 class Frequency(NamedTuple):
     """Dual-lattice point (half_a + half_b*tau)/2."""
 
     half_a: int
     half_b: int
-
-    @property
-    def qtau(self) -> QTau:
-        return QTau(Fraction(self.half_a, 2), Fraction(self.half_b, 2))
 
     @property
     def value(self) -> float:
@@ -277,12 +255,6 @@ class Frequency(NamedTuple):
 
     def __neg__(self) -> Frequency:
         return Frequency(-self.half_a, -self.half_b)
-
-    def phase(self, t: float) -> float:
-        return 2.0 * DELTA * self.value * t
-
-    def internal_phase(self, u: float) -> float:
-        return 2.0 * DELTA_STAR * self.value_star * u
 
     @property
     def label(self) -> str:

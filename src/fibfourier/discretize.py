@@ -67,19 +67,16 @@ _STRIP_Y_SAMPLES = 5
 # the strip's edges moved in by _STRIP_SHRINK
 _BOUND_MARGIN = 1e-9
 _STRIP_SHRINK = 1e-9
-
-
-def refinement_reps(n: int) -> list[QTau]:
-    """The n^2 refined-lattice representatives (i + j*tau)/n, 0 <= i, j < n."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return [QTau(Fraction(i, n), Fraction(j, n)) for i in range(n) for j in range(n)]
+#: path_decomposition refuses a path of more segments than this (README,
+#: "Range"); a range of 1e6 takes 723,606
+SEGMENT_LIMIT = 1_000_000
 
 
 def _embedded_reps(n: int) -> Iterator[tuple[int, int, float, float]]:
-    """(i, j, x, x') of each representative (i + j*tau)/n, in the order of
-    refinement_reps.  float(Fraction(i, n)) and i / n are both the correctly
-    rounded quotient, so (x, x') equals QTau.embed's pair bit for bit."""
+    """(i, j, x, x') of each representative (i + j*tau)/n, 0 <= i, j < n,
+    with j varying fastest.  float(Fraction(i, n)) and i / n are both the
+    correctly rounded quotient, so (x, x') equals QTau.embed's pair bit for
+    bit."""
     for i in range(n):
         fi = i / n
         for j in range(n):
@@ -91,11 +88,6 @@ class Segment(NamedTuple):
     t_enter: float
     t_exit: float
     translate: ZTau  # lattice point (t, t') subtracted to re-enter the cell
-
-    @property
-    def height(self) -> float:
-        # internal coordinate of the segment inside the cell
-        return -self.translate.embed().x_star
 
 
 class _Target(NamedTuple):
@@ -156,18 +148,24 @@ def path_decomposition(
 
     Exactly one of `passes` (number of segments) and `range_r` may be given;
     a raw range is truncated down to the largest crossing time <= range_r so
-    that only complete passes remain.
+    that only complete passes remain.  A path of more than SEGMENT_LIMIT
+    segments is refused before any is built; a range counts one per
+    crossing, floor(R/(tau sqrt5)) + floor(R/sqrt5).
     """
     if (passes is None) == (range_r is None):
         raise ValueError("give exactly one of passes and range_r")
     if passes is not None:
         if passes < 1:
             raise ValueError("need passes >= 1")
-        crossings = _crossings(passes, None)
+        count = passes
     else:
-        if range_r is None or range_r < _V_WRAP:
-            raise ValueError(f"range must cover one pass (>= {_V_WRAP:.6f})")
-        crossings = _crossings(None, range_r)
+        # a nan or infinite range fails the comparison
+        if not _V_WRAP <= range_r < math.inf:
+            raise ValueError(f"range must be finite and cover one pass (>= {_V_WRAP:.6f})")
+        count = math.floor(range_r / _U_WRAP) + math.floor(range_r / _V_WRAP)
+    if count > SEGMENT_LIMIT:
+        raise ValueError(f"the path would have {count} segments, more than {SEGMENT_LIMIT}")
+    crossings = _crossings(passes, range_r)
     segments: list[Segment] = []
     t0 = 0.0
     cu = cv = 0

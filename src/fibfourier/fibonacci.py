@@ -7,7 +7,8 @@ A local function is given by one tile rule: its linear pieces on a tile
 * nearest_distance: t -> distance from t to the point set (tent over each
   tile, peak half the tile length);
 * interval_sign: t -> +1 on long tiles, -1 on short tiles (value at a point
-  is that of the tile starting there).
+  is that of the tile starting there); a tile of another length, which a
+  window of length other than tau makes, is refused.
 
 A value at t depends only on the tiles near t, so each query is answered
 from the enumerated slice of points around it, and its cost does not depend
@@ -180,6 +181,8 @@ def _tent(p: float, q: float, tile: str) -> list[LinearPiece]:
 
 
 def _step(p: float, q: float, tile: str) -> list[LinearPiece]:
+    if tile == "other":
+        raise ValueError(f"interval_sign has no sign for the tile [{p}, {q})")
     return [(p, q, 1.0 if tile == "long" else -1.0, 0.0)]
 
 
@@ -246,10 +249,6 @@ class TorusLift:
     def constant(cls, c: float) -> TorusLift:
         return cls(constant(c).rule)
 
-    @property
-    def rectangles(self) -> tuple[tuple[float, float, float, float], ...]:
-        return tuple(sup.rect for sup in self.supports)
-
     def _locate(self, x: float, y: float) -> tuple[int, int, _Table, float]:
         """The copy of the support that holds the plane point (x, y): the
         lattice point a + b*tau it is moved by, the piece table of its
@@ -264,7 +263,7 @@ class TorusLift:
         carry an error that grows with ulp(|x|): on the line, values differ
         from the local function's by up to about 1e-7 at |x| near 1e9 and
         1.5e-6 near 1e10.  The position is not checked against
-        POSITION_LIMIT here; on_line checks it.
+        POSITION_LIMIT.
         """
         y += self._shift
         b0 = math.floor((x - y) / SQRT5)
@@ -312,10 +311,6 @@ class TorusLift:
             values.append(c + m * (lo if k == first else ends[k - 1]))
             values.append(c + m * (hi if k == last else ends[k]))
         return min(values), max(values)
-
-    def on_line(self, t: float) -> float:
-        check_position(t)
-        return self.evaluate_torus(t, 0.0)
 
     def cell_integral(self) -> float:
         """Integral over the fundamental cell (unnormalized)."""

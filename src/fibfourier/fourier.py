@@ -63,7 +63,9 @@ a conjugate pair costs one cos and one sin.  Approximants of a batch whose
 plans have the same p list share cos(theta) and sin(theta) with
 theta = 2 pi (p x); each forms its own values re cos(theta) - im sin(theta)
 and adds them in its own term order in a plain loop from 0.0.  Every value
-equals evaluate_complex(x).real bit for bit:
+equals, bit for bit, the real part of the term-by-term complex sum of
+c.value * cmath.exp(1j * 2 pi * (2 DELTA k.value x)) from 0j in term order,
+the reference the tests compare with:
 
 * mirrored terms are equal: -(p x) and 2 pi (-(p x)) negate exactly, cos is
   even and sin odd (tests pin this for the libm in use), so
@@ -73,8 +75,8 @@ equals evaluate_complex(x).real bit for bit:
 * a shared cos or sin is the one each approximant would compute, because its
   p and x are the same, so each term is unchanged;
 * each total keeps its term order from 0.0, so by the float-loop argument
-  above it is evaluate_complex(x).real: there the exponent
-  1j * 2 pi * phase(x) is complex(+-0.0, theta), and the real part of each
+  above it is the reference's real part: there the exponent
+  1j * 2 pi * (p x) is complex(+-0.0, theta), and the real part of each
   product is re cos theta - im sin theta.
 
 A periodic cosine baseline fitted on [0, 2] is included for comparison:
@@ -322,18 +324,10 @@ class Approximant:
         self._plan = _Plan(tuple(ps), res, ims, order)
         return self._plan
 
-    def evaluate_complex(self, x: float) -> complex:
-        if self.kind == "cosine":
-            return complex(self.evaluate(x))
-        total = 0j
-        for c in self.coeffs:
-            total += c.value * cmath.exp(1j * _TWO_PI * c.k.phase(x))
-        return total
-
     def evaluate(self, x: float) -> float:
         """The real part of the sum at x, from the kernel over this
-        approximant alone (see the module docstring for why it equals
-        evaluate_complex(x).real bit for bit)."""
+        approximant alone (see the module docstring for why it equals the
+        term-by-term complex sum's real part bit for bit)."""
         batch = self._batch
         if batch is None:
             batch = self._batch = _Batch((self,))

@@ -153,14 +153,6 @@ class ZTau(QTau):
         self.a = a
         self.b = b
 
-    def qtau(self) -> QTau:
-        return QTau(self.a, self.b)
-
     # bound here as well, so ZTau.embed and QTau.embed can be wrapped apart
     # (perfbench/spans.py traces both)
     embed = QTau.embed
-
-
-def trace_pairing(k: QTau, x: QTau) -> Fraction:
-    """Rational part of 2*k*x, the lattice pairing of (k, k') with (x, x')."""
-    return Fraction(2 * (k * x).a)

@@ -223,6 +223,16 @@ def test_deterministic_output_files(tmp_path, capsys):
          "position 2000000000.0 is beyond the limit 1e+09"),
         (["compare", "--grid", "0:2e9:3"],
          "position 2000000000.0 is beyond the limit 1e+09"),
+        (["coeffs", "--n", "3", "--estimator", "integral", "--range", "nan"],
+         "range must be finite and cover one pass (>= 2.236068)"),
+        (["coeffs", "--n", "3", "--estimator", "integral", "--range", "inf"],
+         "range must be finite and cover one pass (>= 2.236068)"),
+        (["coeffs", "--n", "3", "--estimator", "integral", "--range", "1e8"],
+         "the path would have 72360679 segments, more than 1000000"),
+        (["data-points", "--n", "3", "--passes", "10000000"],
+         "the path would have 10000000 segments, more than 1000000"),
+        (["points", "--lo", "0", "--hi", "5", "--window=-inf:inf"],
+         "window endpoints must be finite and satisfy lo < hi"),
     ],
     ids=[
         "window",
@@ -234,6 +244,11 @@ def test_deterministic_output_files(tmp_path, capsys):
         "points-beyond-limit",
         "grid-beyond-limit",
         "grid-ends-beyond-limit",
+        "range-nan",
+        "range-inf",
+        "range-too-long",
+        "passes-too-many",
+        "window-non-finite",
     ],
 )
 def test_usage_error_writes_no_file(argv, message, tmp_path, capsys):
@@ -243,6 +258,21 @@ def test_usage_error_writes_no_file(argv, message, tmp_path, capsys):
     assert err == f"error: {message}\n"
     assert out == ""
     assert not target.exists()
+
+
+@pytest.mark.parametrize("window", ["-2:2.618", "-0.3333333333333333:0.5"])
+def test_interval_on_other_tiles_writes_no_file(window, tmp_path, capsys):
+    # tiles of length tau^-1, tau^-2, tau^-3 or tau^2, tau^3 have no sign
+    target = tmp_path / "out.csv"
+    argv = ["coeffs", "--n", "3", "--function", "interval", f"--window={window}",
+            "--estimator", "integral", "--passes", "10", "--out", str(target)]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 1
+    assert err.startswith("error: interval_sign has no sign for the tile [")
+    assert err.count("\n") == 1 and out == ""
+    assert not target.exists()
+    # the tent on the same window is answered
+    assert run_cli(argv[:4] + ["nearest"] + argv[5:], capsys)[0] == 0
 
 
 def test_out_path_unwritable(tmp_path, capsys):

@@ -1,7 +1,6 @@
-"""Window acceptance, point enumeration, torus coordinates, frequency picks."""
+"""Window acceptance, point enumeration, frequency picks."""
 
 import math
-import random
 import re
 from fractions import Fraction
 
@@ -14,7 +13,6 @@ from fibfourier.cutproject import (
     count_model_set,
     enumerate_model_set,
     frequency_representatives,
-    torus_coords,
 )
 from fibfourier.ztau import QTau, TAU, TAU_STAR, ZTau
 
@@ -47,6 +45,10 @@ def test_window_rejects_empty_interval():
         Window(QTau(2), QTau(-1))
     with pytest.raises(ValueError):
         ApproxWindow(2.0, -1.0)
+    # a float window must also have finite ends
+    for lo, hi in ((-math.inf, math.inf), (-math.inf, 0.5), (-1.0, math.inf), (math.nan, 0.5)):
+        with pytest.raises(ValueError, match="window endpoints must be finite"):
+            ApproxWindow(lo, hi)
 
 
 def test_singular_pair_swaps_between_closures():
@@ -91,9 +93,10 @@ def test_enumeration_examples():
 
 def test_enumeration_sorted_and_in_window():
     sl = enumerate_model_set(Window.default(), -200.0, 200.0)
-    assert sl.values == sorted(sl.values)
+    values = [p.value for p in sl.points]
+    assert values == sorted(values)
     assert all(Window.default().contains(p.algebraic) for p in sl.points)
-    assert all(-200.0 <= v <= 200.0 for v in sl.values)
+    assert all(-200.0 <= v <= 200.0 for v in values)
 
 
 def test_gaps_and_tile_tags():
@@ -106,6 +109,18 @@ def test_gaps_and_tile_tags():
             assert p.tile == "long"
         else:  # pragma: no cover - would indicate a broken enumeration
             pytest.fail(f"unexpected gap {gap}")
+
+
+def test_tile_tags_follow_the_exact_step():
+    # far out, a float gap is tau or 1 only to within ~1e-7, but the step to
+    # the next point is exact
+    far = enumerate_model_set(Window.default(), 5.0e8, 5.0e8 + 200.0).points
+    assert {p.tile for p in far} == {"long", "short"}
+    # a window of length 1.6 has tiles of length 1, tau and tau^2
+    sl = enumerate_model_set(ApproxWindow(-0.9, 0.7), -50.0, 50.0)
+    steps = {"long": ZTau(0, 1), "short": ZTau(1, 0)}
+    for p, q in zip(sl.points, sl.points[1:]):
+        assert steps.get(p.tile, ZTau(1, 1)) == q.algebraic - p.algebraic
 
 
 def test_tile_tag_matches_internal_subwindow():
@@ -122,31 +137,6 @@ def test_tile_ratio_approaches_tau():
     longs = sum(1 for p in sl.points if p.tile == "long")
     shorts = sum(1 for p in sl.points if p.tile == "short")
     assert abs(longs / shorts - TAU) / TAU < 0.02
-
-
-def test_torus_coords_examples():
-    u, v = torus_coords(0.0)
-    assert (u, v) == (0.0, 0.0)
-    u, v = torus_coords(1.0)
-    assert u == pytest.approx(0.2763932022, abs=1e-9)
-    assert v == pytest.approx(0.4472135955, abs=1e-9)
-
-
-def test_torus_coords_additive_mod_one():
-    rng = random.Random(11)
-
-    def circ(a, b):
-        d = abs(a - b) % 1.0
-        return min(d, 1.0 - d)
-
-    for _ in range(400):
-        s = rng.uniform(-500.0, 500.0)
-        t = rng.uniform(-500.0, 500.0)
-        us, vs = torus_coords(s)
-        ut, vt = torus_coords(t)
-        u, v = torus_coords(s + t)
-        assert circ(u, (us + ut) % 1.0) < 1e-9
-        assert circ(v, (vs + vt) % 1.0) < 1e-9
 
 
 def test_frequency_representatives_small():
@@ -208,16 +198,12 @@ def test_frequency_representatives_negation_closed_odd(n):
 
 def test_frequency_value_phase_and_label():
     k = Frequency(1, -1)
-    assert k.qtau == QTau(Fraction(1, 2), Fraction(-1, 2))
     assert k.value == pytest.approx((1.0 - TAU) / 2.0, abs=1e-12)
     assert k.value_star == pytest.approx((1.0 - TAU_STAR) / 2.0, abs=1e-12)
     assert (-k) == Frequency(-1, 1)
     assert Frequency(0, 0).label == "0"
     assert k.label == "(+1-1tau)/2"
     assert Frequency(0, 2).label == "(+0+2tau)/2"
-    # phase is linear in t with slope 2 delta k
-    assert k.phase(0.0) == 0.0
-    assert k.phase(2.0) == pytest.approx(2.0 * k.phase(1.0), abs=1e-12)
 
 
 def test_approx_window_matches_exact_enumeration():

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fibfourier.cutproject import Window, torus_coords
+from fibfourier import discretize
+from fibfourier.cutproject import Window
 from fibfourier.discretize import (
+    SEGMENT_LIMIT,
     DataPoint,
     ErrorEstimate,
     PathDecomposition,
@@ -25,7 +27,6 @@ from fibfourier.discretize import (
     data_quadrature,
     error_estimate,
     path_decomposition,
-    refinement_reps,
     strip_projection_oracle,
 )
 from fibfourier.fibonacci import (
@@ -38,22 +39,25 @@ from fibfourier.fibonacci import (
     interval_sign,
     torus_lift,
 )
-from fibfourier.ztau import QTau, SQRT5, TAU, TAU_STAR, ZTau
+from fibfourier.ztau import DELTA, QTau, SQRT5, TAU, TAU_STAR, ZTau
 
 _SQ5 = math.sqrt(5.0)
 
 
-def test_refinement_reps_small():
-    r1 = refinement_reps(1)
-    assert len(r1) == 1
-    assert r1[0] == QTau(0, 0)
-    r3 = refinement_reps(3)
-    assert len(r3) == 9
-    assert {((3 * s).a, (3 * s).b) for s in r3} == {(i, j) for i in range(3) for j in range(3)}
-    assert r3[5] == QTau(Fraction(1, 3), Fraction(2, 3))
-    assert len(refinement_reps(7)) == 49
-    with pytest.raises(ValueError):
-        refinement_reps(0)
+def refinement_reps(n):
+    """The n^2 refined-lattice representatives (i + j*tau)/n, 0 <= i, j < n."""
+    return [QTau(Fraction(i, n), Fraction(j, n)) for i in range(n) for j in range(n)]
+
+
+def torus_coords(t):
+    """Lattice coordinates in [0,1)^2 of the line point (t, 0) modulo the
+    scheme lattice."""
+    return (DELTA * t) % 1.0, (TAU * DELTA * t) % 1.0
+
+
+def _height(seg):
+    """Internal coordinate of a segment inside the cell."""
+    return -seg.translate.embed().x_star
 
 
 def test_path_single_pass():
@@ -94,6 +98,33 @@ def test_path_argument_validation():
         path_decomposition(range_r=1.0)
 
 
+def test_path_segment_count_from_the_range():
+    for r in (_SQ5, 10.0, 21.64, 1000.0, 12345.6):
+        expected = math.floor(r / (TAU * _SQ5)) + math.floor(r / _SQ5)
+        assert path_decomposition(range_r=r).m == expected, r
+
+
+def test_path_refusals_come_before_any_segment(monkeypatch):
+    calls = []
+
+    def crossings(passes, range_r):
+        calls.append((passes, range_r))
+        return [("v", _SQ5)]
+
+    monkeypatch.setattr(discretize, "_crossings", crossings)
+    for r in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="range must be finite"):
+            path_decomposition(range_r=r)
+    for kwargs in ({"passes": SEGMENT_LIMIT + 1}, {"range_r": 1e8}, {"passes": 10**7}):
+        with pytest.raises(ValueError, match=f"segments, more than {SEGMENT_LIMIT}"):
+            path_decomposition(**kwargs)
+    assert calls == []
+    # the limit itself, and R = 1e6 (723,606 segments), are taken
+    path_decomposition(passes=SEGMENT_LIMIT)
+    path_decomposition(range_r=1e6)
+    assert calls == [(SEGMENT_LIMIT, None), (None, 1e6)]
+
+
 def test_path_segments_chain_and_cells():
     path = path_decomposition(passes=17)
     assert path.segments[0].t_enter == 0.0
@@ -105,12 +136,12 @@ def test_path_segments_chain_and_cells():
         wraps = (math.floor(delta * mid), math.floor(TAU * delta * mid))
         assert (seg.translate.a, seg.translate.b) == wraps
         # heights fill the internal direction of the cell
-        assert TAU_STAR - 1e-12 < seg.height < 1.0 + 1e-12
+        assert TAU_STAR - 1e-12 < _height(seg) < 1.0 + 1e-12
 
 
 def test_heights_are_distinct():
     path = path_decomposition(passes=40)
-    hs = sorted(seg.height for seg in path.segments)
+    hs = sorted(_height(seg) for seg in path.segments)
     for a, b in zip(hs, hs[1:]):
         assert b - a > 1e-6
 
@@ -202,7 +233,7 @@ def _argmin_points(n, path):
         emb = s.embed()
         seg = min(
             path.segments,
-            key=lambda g: (abs(emb.x_star - g.height), g.translate.embed().x),
+            key=lambda g: (abs(emb.x_star - _height(g)), g.translate.embed().x),
         )
         t = seg.translate.embed()
         pts.append(DataPoint(emb.x + t.x, s, seg.translate, abs(emb.x_star + t.x_star)))
@@ -230,7 +261,7 @@ def test_data_points_break_ties_like_the_argmin():
     # two translates whose float heights coincide below s' = 0: the bisect
     # lands next to the larger t, the argmin takes the smaller one
     far, near = ZTau(681279976, 1102334157), ZTau(618033990, 1000000002)
-    assert Segment(0.0, 1.0, far).height == Segment(0.0, 1.0, near).height < 0.0
+    assert _height(Segment(0.0, 1.0, far)) == _height(Segment(0.0, 1.0, near)) < 0.0
     path = PathDecomposition([Segment(0.0, 1.0, far), Segment(1.0, 2.0, near)], 2.0, 2)
     points = data_points(1, path).points
     assert points == _argmin_points(1, path)
@@ -452,7 +483,7 @@ def _seed_assemble(n, path, choose):
 
 def _seed_data_points(n, path):
     rows = sorted(
-        (seg.height, seg.translate.embed().x, i, seg) for i, seg in enumerate(path.segments)
+        (_height(seg), seg.translate.embed().x, i, seg) for i, seg in enumerate(path.segments)
     )
     heights = [row[0] for row in rows]
     last = len(rows) - 1

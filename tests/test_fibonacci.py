@@ -117,7 +117,7 @@ def test_positions_beyond_the_limit_are_refused():
     lift = torus_lift(NEAREST)
     # every position up to the limit is answered, the context's pad included
     for t in (-POSITION_LIMIT, POSITION_LIMIT):
-        assert abs(lift.on_line(t) - f(t)) <= 2e-7
+        assert abs(lift.evaluate_torus(t, 0.0) - f(t)) <= 2e-7
     assert f.linear_pieces(-POSITION_LIMIT, 1.0 - POSITION_LIMIT)[0][0] == -POSITION_LIMIT
     assert f.linear_pieces(POSITION_LIMIT - 1.0, POSITION_LIMIT)[-1][1] == POSITION_LIMIT
     beyond = math.nextafter(POSITION_LIMIT, math.inf)
@@ -126,7 +126,6 @@ def test_positions_beyond_the_limit_are_refused():
         lambda: f(-beyond),
         lambda: f(math.nan),
         lambda: f.linear_pieces(POSITION_LIMIT - 1.0, beyond),
-        lambda: lift.on_line(-beyond),
         lambda: enumerate_model_set(Window.default(), 2.0e9, 2.0e9 + 10.0),
         lambda: enumerate_model_set(Window.default(), -POSITION_LIMIT - 50.0, -POSITION_LIMIT),
     ]
@@ -141,8 +140,13 @@ def test_positions_beyond_the_limit_are_refused():
 _WINDOWS = {
     "default": Window.default(),
     "shifted": Window.default().shifted(QTau(Fraction(1, 2))),
-    "approx": ApproxWindow(-0.9, 0.7),
+    # a float window of length tau, whose tiles interval_sign can name
+    "approx": ApproxWindow(-0.9, TAU - 0.9),
 }
+# float windows of other lengths: tiles of length 1, tau and tau^2; of
+# tau^-1, tau^-2 and tau^-3; and of tau^2 and tau^3
+_THREE_TILE = ApproxWindow(-0.9, 0.7)
+_OTHER_TILES = [_THREE_TILE, ApproxWindow(-2.0, TAU * TAU), ApproxWindow(-1.0 / 3.0, 0.5)]
 _MAKERS = {
     "nearest": nearest_distance,
     "interval": interval_sign,
@@ -183,10 +187,7 @@ def _check_cover(name, f, window, lo, hi):
         assert f(mid) == pytest.approx(_reference(name, sl.points, mid), abs=1e-9)
 
 
-@pytest.mark.parametrize("window_name", _WINDOWS)
-@pytest.mark.parametrize("name", _MAKERS)
-def test_linear_pieces_cover_interval(name, window_name):
-    window = _WINDOWS[window_name]
+def _check_covers(name, window):
     f = _MAKERS[name](window)
     _check_cover(name, f, window, 0.0, 20.0)
     points = enumerate_model_set(window, -5.0, 40.0).points
@@ -208,6 +209,34 @@ def test_linear_pieces_cover_interval(name, window_name):
     _check_cover(name, f, window, 5000.0, 5030.0)
     assert f.context.ensure(0.0, 20.0) is not before
     _check_cover(name, f, window, 0.0, 20.0)
+
+
+@pytest.mark.parametrize("window_name", _WINDOWS)
+@pytest.mark.parametrize("name", _MAKERS)
+def test_linear_pieces_cover_interval(name, window_name):
+    _check_covers(name, _WINDOWS[window_name])
+
+
+@pytest.mark.parametrize("name", ["nearest", "constant"])
+def test_linear_pieces_cover_three_tile_window(name):
+    _check_covers(name, _THREE_TILE)
+
+
+def test_interval_sign_refuses_tiles_it_cannot_name():
+    for window in _OTHER_TILES:
+        tiles = {p.tile for p in enumerate_model_set(window, -20.0, 20.0).points}
+        assert "other" in tiles, window
+        f = interval_sign(window)
+        for call in (lambda: f(0.0), lambda: f.linear_pieces(0.0, 5.0), lambda: f.values_at([1.0])):
+            with pytest.raises(ValueError, match="interval_sign has no sign for the tile"):
+                call()
+        # the tent reads only the tile ends
+        g = nearest_distance(window)
+        points = enumerate_model_set(window, -5.0, 5.0).points
+        assert g(points[2].value) == 0.0
+        assert g(0.5 * (points[2].value + points[3].value)) == pytest.approx(
+            0.5 * (points[3].value - points[2].value), abs=1e-12
+        )
 
 
 _queries = st.lists(
@@ -332,7 +361,7 @@ def test_lift_restricts_to_line():
         (INTERVAL, interval_sign(), random_ts + grid + mids),
     ):
         lift = torus_lift(descriptor)
-        bad = [t for t in ts if abs(lift.on_line(t) - f(t)) > 1e-9]
+        bad = [t for t in ts if abs(lift.evaluate_torus(t, 0.0) - f(t)) > 1e-9]
         assert bad == []
 
 
@@ -345,7 +374,7 @@ def test_lift_precision_far_from_origin():
     for lo, hi, tol in ((5.0e6, 1.0e7, 1e-8), (5.0e8, 1.0e9, 2e-7)):
         for _ in range(300):
             t = rng.choice((-1.0, 1.0)) * rng.uniform(lo, hi)
-            assert abs(lift.on_line(t) - f(t)) <= tol
+            assert abs(lift.evaluate_torus(t, 0.0) - f(t)) <= tol
 
 
 _SHIFTED = Window.default().shifted(QTau(Fraction(1, 2)))
@@ -362,7 +391,7 @@ def test_lift_on_shifted_window_restricts_to_line():
         (interval_sign(_SHIFTED), grid + mids),
     ):
         lift = TorusLift(f.rule, _SHIFTED)
-        bad = [t for t in ts if abs(lift.on_line(t) - f(t)) > 1e-9]
+        bad = [t for t in ts if abs(lift.evaluate_torus(t, 0.0) - f(t)) > 1e-9]
         assert bad == []
 
 

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fibfourier.cutproject import Frequency
 from fibfourier.ztau import (
     DELTA,
     DELTA_STAR,
@@ -20,7 +19,6 @@ from fibfourier.ztau import (
     ArithmeticCapacityError,
     QTau,
     ZTau,
-    trace_pairing,
 )
 
 
@@ -79,26 +77,6 @@ def test_conjugation_is_a_ring_automorphism():
         assert (q * r).conj() == q.conj() * r.conj()
 
 
-def test_trace_pairing_examples():
-    assert trace_pairing(QTau(Fraction(1, 2)), QTau(1)) == 1
-    assert trace_pairing(QTau(0, Fraction(1, 2)), QTau(1)) == 0
-    assert trace_pairing(QTau(Fraction(1, 2), Fraction(1, 2)), QTau(2, 3)) == 5
-
-
-def test_trace_pairing_integrality():
-    """Half-integer coordinate pairs pair integrally with the whole ring."""
-    rng = random.Random(17)
-    for _ in range(1000):
-        k = QTau(
-            Fraction(rng.randint(-200, 200), 2),
-            Fraction(rng.randint(-200, 200), 2),
-        )
-        x = QTau(rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4))
-        val = trace_pairing(k, x)
-        assert isinstance(val, Fraction)
-        assert val.denominator == 1
-
-
 def test_embedding_examples():
     e = ZTau(0, 1).embed()
     assert e.x == pytest.approx(1.6180339887, abs=1e-9)
@@ -130,37 +108,6 @@ def test_embedding_trace_and_difference():
         e = ZTau(a, b).embed()
         assert e.x + e.x_star == pytest.approx(2 * a + b, rel=1e-12, abs=1e-9)
         assert e.x - e.x_star == pytest.approx(b * SQRT5, rel=1e-12, abs=1e-9)
-
-
-def test_phase_examples():
-    assert Frequency(0, 0).phase(7.3) == 0.0
-    assert Frequency(1, 0).phase(1.0) == pytest.approx(DELTA, abs=1e-14)
-    assert Frequency(0, 1).phase(SQRT5) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_internal_phase_examples():
-    assert Frequency(0, 0).internal_phase(0.5) == 0.0
-    assert Frequency(1, 0).internal_phase(1.0) == pytest.approx(DELTA_STAR, abs=1e-14)
-    # k = tau/2 against u = 2: 2 * delta* * tau* * 2 is negative
-    assert Frequency(0, 1).internal_phase(2.0) == pytest.approx(
-        -0.8944271909999161, abs=1e-12
-    )
-
-
-def test_phase_split_recovers_pairing_mod_one():
-    """k.phase(x) + k.internal_phase(x') == <k, x> up to an integer.
-
-    This split is what lets a sum over data points factor into a grid DFT.
-    """
-    rng = random.Random(7)
-    for _ in range(300):
-        k = Frequency(rng.randint(-40, 40), rng.randint(-40, 40))
-        x = ZTau(rng.randint(-50, 50), rng.randint(-50, 50))
-        e = x.embed()
-        total = k.phase(e.x) + k.internal_phase(e.x_star)
-        expected = float(trace_pairing(k.qtau, x.qtau()))
-        frac = total - expected
-        assert abs(frac - round(frac)) < 1e-9
 
 
 def test_exact_order_beyond_float_precision():

@@ -41,14 +41,12 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-import weakref
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Iterator, NamedTuple
 
-from .cutproject import Frequency
 from .fibonacci import LocalFunction, TorusLift
 from .ztau import SQRT5, TAU, TAU_STAR, QTau, ZTau
 
@@ -187,35 +185,19 @@ class DataPoint(NamedTuple):
     residual: float  # |s' + t'|, internal distance from the matched segment
 
 
-@dataclass
+@dataclass(eq=False)
 class DataPointSet:
+    """The data points of one path, compared by identity (so fourier can
+    key its memo by the set)."""
+
     n: int
     m: int
     r: float
     points: list[DataPoint]
-    _samples: weakref.WeakKeyDictionary[LocalFunction, list[float]] = field(
-        default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
-    )
-    _partners: weakref.WeakKeyDictionary[LocalFunction, dict[Frequency, complex]] = field(
-        default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
-    )
 
     @cached_property
     def values(self) -> list[float]:
         return [p.u for p in self.points]
-
-    def samples(self, f: LocalFunction) -> list[float]:
-        """f at every data point, in order; evaluated once per live f, with
-        f.values_at, which reads close points from one piece table."""
-        values = self._samples.get(f)
-        if values is None:
-            values = self._samples[f] = f.values_at(self.values)
-        return values
-
-    def partners(self, f: LocalFunction) -> dict[Frequency, complex]:
-        """Sum coefficients of f on these points left for the negatives of
-        the frequencies they were computed at (see fourier.coeff_sum)."""
-        return self._partners.setdefault(f, {})
 
     def __len__(self) -> int:
         return len(self.points)
@@ -433,6 +415,6 @@ def cell_quadrature(lift: TorusLift, n: int) -> float:
 def data_quadrature(f: LocalFunction, data: DataPointSet) -> float:
     """(sqrt5/n^2) * sum of the local function over the data points."""
     total = 0.0
-    for value in data.samples(f):
+    for value in f.values_at(data.values):
         total += value
     return SQRT5 * total / (data.n * data.n)

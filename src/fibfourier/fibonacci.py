@@ -99,6 +99,15 @@ LinearPiece = tuple[float, float, float, float]  # (x0, x1, const, slope)
 TileRule = Callable[[float, float, str], list[LinearPiece]]
 
 
+def _piece_value(pieces: list[LinearPiece], starts: list[float], t: float) -> float:
+    """c + m*t from the piece of the table that holds t."""
+    i = bisect_right(starts, t) - 1
+    if i < 0 or t >= pieces[i][1]:
+        raise RuntimeError("context coverage too small")
+    _, _, c, m = pieces[i]
+    return c + m * t
+
+
 class LocalFunction:
     """A bounded function of the local tile pattern, piecewise linear.
 
@@ -128,11 +137,7 @@ class LocalFunction:
 
     def __call__(self, t: float) -> float:
         pieces, starts = self._table(t, t)
-        i = bisect_right(starts, t) - 1
-        if i < 0 or t >= pieces[i][1]:
-            raise RuntimeError("context coverage too small")
-        _, _, c, m = pieces[i]
-        return c + m * t
+        return _piece_value(pieces, starts, t)
 
     def values_at(self, ts: Sequence[float]) -> list[float]:
         """f at each of the ascending positions ts, as __call__ gives it.
@@ -149,12 +154,7 @@ class LocalFunction:
             while j < end and ts[j] - ts[j - 1] <= 2 * _PAD and ts[j] - ts[k] <= _BATCH_SPAN:
                 j += 1
             pieces, starts = self._table(ts[k], ts[j - 1])
-            for t in ts[k:j]:
-                i = bisect_right(starts, t) - 1
-                if i < 0 or t >= pieces[i][1]:
-                    raise RuntimeError("context coverage too small")
-                _, _, c, m = pieces[i]
-                out.append(c + m * t)
+            out.extend(_piece_value(pieces, starts, t) for t in ts[k:j])
             k = j
         return out
 

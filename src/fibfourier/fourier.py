@@ -17,12 +17,11 @@ One per-piece transform (_transform) serves line integrals, the lift's
 pieces and the rectangles' internal extents (one constant piece each).  It
 reads the pieces as columns (_Pieces): the distinct half-widths, and per
 piece its midpoint, the slot of its half-width, A and B.  The estimators stay
-one call per frequency, but the work that depends only on the function is
-done once: the exact estimator takes a lift's pieces once per lift, the sum
-reads f at each data point once per DataPointSet (DataPointSet.samples), and
-the integral reads the pieces over [lo, hi] once per function and range.  The
-memos are keyed weakly by the function or lift, so they vanish with it, and a
-function's piece memo keeps only its last range.
+one call per frequency, but the work that does not depend on k is done once,
+in one memo keyed weakly by the lift (its pieces), the function (its pieces
+over [lo, hi]) or the data-point set (f at each point).  A slot holds the
+input its work was done for and is replaced when asked for another, so a
+function keeps only its last range and a data-point set its last function.
 
 A frequency costs one cos and one sin per data point (sum) or per piece, and
 one sinc and h per distinct half-width (integral, exact), summed in plain
@@ -46,7 +45,7 @@ for complex numbers from 3.14 on, and would round differently.
 
 The functions and lifts are real, so a_{-k} = conj(a_k), and a pair k, -k
 costs one pass of the kernel: computing a_k (k != 0) leaves
-complex(re, 0.0 - im) in the memo as a_{-k}, and the next call at -k takes it
+complex(re, 0.0 - im) in the slot as a_{-k}, and the next call at -k takes it
 out instead of summing.  The mirror is bit-identical to a direct computation
 at -k: k.value and k.value_star negate exactly, so every angle does; sin is
 odd and cos even, so each term is conjugated exactly and the sum of the
@@ -91,7 +90,7 @@ import cmath
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .cutproject import Frequency, FrequencySet
 from .discretize import DataPointSet
@@ -115,15 +114,11 @@ class _Pieces(NamedTuple):
     b: list[float]
 
 
-#: per live local function, the pieces of the last range it was integrated
-#: over and the partners of the coefficients on [0, range]
-_ROWS: weakref.WeakKeyDictionary[
-    LocalFunction, tuple[float, float, _Pieces, _Partners]
-] = weakref.WeakKeyDictionary()
-#: per live lift, the pieces of its support rectangles and the partners
-_LIFT_ROWS: weakref.WeakKeyDictionary[
-    TorusLift, tuple[list[tuple[float, _Pieces, _Pieces]], _Partners]
-] = weakref.WeakKeyDictionary()
+#: (input, work, partners); the input is None for a lift, the range (lo, hi)
+#: for a function, and a weak reference to the function for a data-point set
+_Slot = tuple[object, Any, _Partners]
+#: one slot per live lift, function or data-point set
+_MEMO: weakref.WeakKeyDictionary[object, _Slot] = weakref.WeakKeyDictionary()
 
 
 def _rows(pieces: Iterable[LinearPiece]) -> _Pieces:
@@ -177,25 +172,49 @@ def _transform(pieces: _Pieces, w: float) -> complex:
     return complex(re, im)
 
 
-def _keep_partner(partners: _Partners, k: Frequency, value: complex) -> complex:
-    """Leave conj(value) for the next call at -k and return value."""
-    if k.half_a or k.half_b:
-        partners[-k] = complex(value.real, 0.0 - value.imag)
+def _slot(owner: object, given: object, work: Callable[..., Any], *args: Any) -> _Slot:
+    """The owner's slot for the input `given`, made afresh with work(*args)
+    when the owner has no slot or one for another input."""
+    slot = _MEMO.get(owner)
+    if slot is None or slot[0] != given:
+        slot = _MEMO[owner] = (given, work(*args), {})
+    return slot
+
+
+def _coefficient(
+    k: Frequency, slot: _Slot, scale: float, kernel: Callable[..., complex], *args: Any
+) -> complex:
+    """a_k: the partner left in the slot for k, if any, else
+    kernel(work, *args, w) / scale on the slot's work, with w = 4 pi DELTA k
+    the angular frequency on the line, leaving its conjugate for the next
+    call at -k."""
+    partners = slot[2]
+    value = partners.pop(k, None)
+    if value is None:
+        value = kernel(slot[1], *args, 2.0 * _TWO_PI * DELTA * k.value) / scale
+        if k.half_a or k.half_b:
+            partners[-k] = complex(value.real, 0.0 - value.imag)
     return value
 
 
-def _lift_rows(lift: TorusLift) -> tuple[list[tuple[float, _Pieces, _Pieces]], _Partners]:
+def _lift_rows(lift: TorusLift) -> list[tuple[float, _Pieces, _Pieces]]:
     """Per support rectangle of the lift, its midpoint abscissa, the rule's
-    centred pieces and the internal extent (a constant piece), taken once
-    per lift, and the lift's partners."""
-    memo = _LIFT_ROWS.get(lift)
-    if memo is None:
-        rows = [
-            (sup.mid, _rows(sup.pieces), _rows([(sup.rect[2], sup.rect[3], 1.0, 0.0)]))
-            for sup in lift.supports
-        ]
-        memo = _LIFT_ROWS[lift] = (rows, {})
-    return memo
+    centred pieces and the internal extent (a constant piece)."""
+    return [
+        (sup.mid, _rows(sup.pieces), _rows([(sup.rect[2], sup.rect[3], 1.0, 0.0)]))
+        for sup in lift.supports
+    ]
+
+
+def _rect_sum(rows: list[tuple[float, _Pieces, _Pieces]], k: Frequency, wx: float) -> complex:
+    """Sum over the rows of _lift_rows of the x-transform at wx, moved to the
+    rectangle's midpoint, times the y-transform at k's internal frequency."""
+    wy = 2.0 * _TWO_PI * DELTA_STAR * k.value_star
+    nwx = -1j * wx
+    total = 0j
+    for mid, x_pieces, y_pieces in rows:
+        total += cmath.exp(nwx * mid) * _transform(x_pieces, wx) * _transform(y_pieces, wy)
+    return total
 
 
 def coeff_exact(k: Frequency, lift: TorusLift) -> complex:
@@ -207,43 +226,24 @@ def coeff_exact(k: Frequency, lift: TorusLift) -> complex:
     times the y-transform of the rectangle's internal extent; the sum over
     the rectangles is divided by sqrt5, the cell area.
     """
-    rows, partners = _lift_rows(lift)
-    value = partners.pop(k, None)
-    if value is not None:
-        return value
-    wx = 2.0 * _TWO_PI * DELTA * k.value
-    wy = 2.0 * _TWO_PI * DELTA_STAR * k.value_star
-    nwx = -1j * wx
-    total = 0j
-    for mid, x_pieces, y_pieces in rows:
-        total += cmath.exp(nwx * mid) * _transform(x_pieces, wx) * _transform(y_pieces, wy)
-    return _keep_partner(partners, k, total / SQRT5)
+    return _coefficient(k, _slot(lift, None, _lift_rows, lift), SQRT5, _rect_sum, k)
 
 
-def _range_rows(f: LocalFunction, lo: float, hi: float) -> tuple[_Pieces, _Partners]:
-    """The pieces of f clipped to [lo, hi] as columns, taken once per
-    function and range, and the partners of that range."""
-    memo = _ROWS.get(f)
-    if memo is None or memo[0] != lo or memo[1] != hi:
-        memo = _ROWS[f] = (lo, hi, _rows(f.linear_pieces(lo, hi)), {})
-    return memo[2], memo[3]
+def _range_slot(f: LocalFunction, lo: float, hi: float) -> _Slot:
+    """f's slot for the pieces of f clipped to [lo, hi], as columns."""
+    return _slot(f, (lo, hi), lambda: _rows(f.linear_pieces(lo, hi)))
 
 
 def line_integral(f: LocalFunction, w: float, lo: float, hi: float) -> complex:
     """int_lo^hi f(x) exp(-i w x) dx, exact on the piecewise-linear parts."""
-    return _transform(_range_rows(f, lo, hi)[0], w)
+    return _transform(_range_slot(f, lo, hi)[1], w)
 
 
 def coeff_integral(k: Frequency, f: LocalFunction, r: float) -> complex:
     """Line-average estimator (1/R) int_0^R f exp(-2 pi i 2 DELTA k t) dt."""
     if r <= 0:
         raise ValueError("need r > 0")
-    rows, partners = _range_rows(f, 0.0, r)
-    value = partners.pop(k, None)
-    if value is not None:
-        return value
-    w = 2.0 * _TWO_PI * DELTA * k.value
-    return _keep_partner(partners, k, _transform(rows, w) / r)
+    return _coefficient(k, _range_slot(f, 0.0, r), r, _transform)
 
 
 def _sample_sum(samples: list[float], values: list[float], w: float) -> complex:
@@ -260,12 +260,9 @@ def _sample_sum(samples: list[float], values: list[float], w: float) -> complex:
 
 def coeff_sum(k: Frequency, f: LocalFunction, data: DataPointSet) -> complex:
     """Data-point estimator (1/N^2) sum_j f(u_j) exp(-2 pi i 2 DELTA k u_j)."""
-    partners = data.partners(f)
-    value = partners.pop(k, None)
-    if value is not None:
-        return value
-    total = _sample_sum(data.samples(f), data.values, 2.0 * _TWO_PI * DELTA * k.value)
-    return _keep_partner(partners, k, total / (data.n * data.n))
+    values = data.values
+    slot = _slot(data, weakref.ref(f), f.values_at, values)
+    return _coefficient(k, slot, data.n * data.n, _sample_sum, values)
 
 
 class Coefficient(NamedTuple):

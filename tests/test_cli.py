@@ -224,8 +224,13 @@ def test_deterministic_output_files(tmp_path, capsys):
         (["compare", "--grid", "0:2e9:3"],
          "position 2000000000.0 is beyond the limit 1e+09"),
         (["coeffs", "--n", "3", "--estimator", "integral", "--range", "nan"],
-         "range must be finite and cover one pass (>= 2.236068)"),
+         "--range must be finite"),
         (["coeffs", "--n", "3", "--estimator", "integral", "--range", "inf"],
+         "--range must be finite"),
+        (["coeffs", "--n", "3", "--range", "nan"], "--range must be finite"),
+        (["coeffs", "--n", "3", "--estimator", "exact", "--range", "inf"],
+         "--range must be finite"),
+        (["coeffs", "--n", "3", "--estimator", "integral", "--range", "1"],
          "range must be finite and cover one pass (>= 2.236068)"),
         (["coeffs", "--n", "3", "--estimator", "integral", "--range", "1e8"],
          "the path would have 72360679 segments, more than 1000000"),
@@ -246,6 +251,9 @@ def test_deterministic_output_files(tmp_path, capsys):
         "grid-ends-beyond-limit",
         "range-nan",
         "range-inf",
+        "range-nan-exact",
+        "range-inf-exact",
+        "range-short",
         "range-too-long",
         "passes-too-many",
         "window-non-finite",
@@ -546,3 +554,40 @@ def test_capacity_error_maps_to_exit_two(monkeypatch, capsys):
     rc, _, err = run_cli(["points", "--lo", "0", "--hi", "1"], capsys)
     assert rc == 2
     assert "magnitude" in err
+
+
+def test_memory_error_maps_to_exit_two(monkeypatch, tmp_path, capsys):
+    def boom(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_coeffs", boom)
+    target = tmp_path / "out.csv"
+    rc, out, err = run_cli(["coeffs", "--n", "3", "--out", str(target)], capsys)
+    assert rc == 2
+    assert err == "error: numeric capacity exceeded: out of memory\n"
+    assert out == ""
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table1"], ["table2"], ["coeffs", "--n", "3", "--estimator", "all", "--passes", "10"]],
+    ids=["table1", "table2", "coeffs-all"],
+)
+def test_reports_build_every_table_through_build_approximant(argv, monkeypatch, capsys):
+    kinds = []
+    build = cli.build_approximant
+
+    def counting(kind, freqs, **inputs):
+        kinds.append(kind)
+        return build(kind, freqs, **inputs)
+
+    def direct(*args):
+        raise AssertionError("coefficient computed outside build_approximant")
+
+    monkeypatch.setattr(cli, "build_approximant", counting)
+    for name in ("coeff_exact", "coeff_integral", "coeff_sum"):
+        monkeypatch.setattr(cli, name, direct)
+    rc, _, err = run_cli(argv, capsys)
+    assert rc == 0, err
+    assert kinds == ["exact", "integral", "sum"]

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibfourier import discretize
-from fibfourier.cutproject import Window
+from fibfourier.cutproject import Frequency, Window
 from fibfourier.discretize import (
     SEGMENT_LIMIT,
     DataPoint,
@@ -39,6 +39,7 @@ from fibfourier.fibonacci import (
     interval_sign,
     torus_lift,
 )
+from fibfourier.fourier import coeff_sum
 from fibfourier.ztau import DELTA, QTau, SQRT5, TAU, TAU_STAR, ZTau
 
 _SQ5 = math.sqrt(5.0)
@@ -195,7 +196,13 @@ def test_samples_match_pointwise_calls(name, n, passes):
         return LocalFunction(f.rule, f.context.window)
 
     g = fresh()
-    assert list(map(repr, data.samples(f))) == [repr(g(u)) for u in data.values]
+    samples = [g(u) for u in data.values]
+    assert list(map(repr, f.values_at(data.values))) == list(map(repr, samples))
+    # the sum estimator's k = 0 term adds those same values
+    total = 0.0
+    for v in samples:
+        total += v
+    assert repr(coeff_sum(Frequency(0, 0), f, data)) == repr(complex(total, 0.0) / (n * n))
     # f answers later queries, near and far, as a fresh function does
     for t in (0.0, 2e5):
         assert repr(f(t)) == repr(fresh()(t)), t

@@ -433,7 +433,8 @@ def test_sum_pass_evaluates_f_once_per_data_point():
     f = _CountingFunction()
     build_approximant("sum", freqs, f=f, data=data)
     assert f.evaluations == len(data) == 81  # not 81 frequencies x 81 points
-    data_quadrature(f, data)
+    # the samples are kept while f and data live
+    build_approximant("sum", freqs, f=f, data=data)
     assert f.evaluations == len(data)
     # a second function sampled on the same data gets its own values
     g = _CountingFunction()
@@ -513,25 +514,30 @@ def test_repeated_and_new_range_queries_compute_afresh(monkeypatch):
     assert transforms["calls"] == calls + 1
 
 
-def test_coefficient_memos_do_not_keep_functions_alive():
+def test_coefficient_memos_do_not_keep_functions_alive(monkeypatch):
     data = data_points(3, path_decomposition(passes=10))
     f = nearest_distance()
-    for k in (K00, Frequency(1, 1)):  # k != 0 leaves a partner behind
-        coeff_sum(k, f, data)
-        coeff_integral(k, f, data.r)
-    assert len(data._partners) == 1
+    lift = TorusLift(f.rule)
+    k = Frequency(1, 1)
+    for q in (K00, k):  # k != 0 leaves a partner behind
+        coeff_sum(q, f, data)
+        coeff_integral(q, f, data.r)
+        coeff_exact(q, lift)
+    # f goes while the data set that holds its samples and partners lives
     ref = weakref.ref(f)
     del f
     gc.collect()
     assert ref() is None
-    assert len(data._partners) == 0
-    # and the data set's partners go with it
+    # and a new function on that data set takes none of them
+    sums = _count_calls(monkeypatch, "_sample_sum")
     g = nearest_distance()
-    coeff_sum(Frequency(1, 1), g, data)
-    data_ref = weakref.ref(data)
-    del data
+    assert repr(coeff_sum(-k, g, data)) == repr(coeff_sum(-k, nearest_distance(), data))
+    assert sums["calls"] == 2
+    # the lift and the data set go too
+    refs = [weakref.ref(lift), weakref.ref(data)]
+    del lift, data
     gc.collect()
-    assert data_ref() is None
+    assert [r() for r in refs] == [None, None]
 
 
 def test_lift_row_memo_does_not_keep_lifts_alive():

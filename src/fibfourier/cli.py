@@ -76,6 +76,9 @@ _SUMMARY_WINDOWS = ((0.0, 15.0), (200.0, 215.0), (-115.0, -100.0))
 #: grow with the range
 _POINTS_CHUNK = 1.0e4
 
+#: the largest --n taken (README, "Range"): 729^2 = 531,441 frequency classes
+N_LIMIT = 729
+
 _FUNCTIONS = ("nearest", "interval")
 _ESTIMATORS = ("exact", "integral", "sum")
 
@@ -101,6 +104,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.n is not None and self.n < 1:
             raise ValueError("--n must be >= 1")
+        if self.n is not None and self.n > N_LIMIT:
+            raise ValueError(f"--n must be <= {N_LIMIT}")
         if self.passes is not None and self.passes < 1:
             raise ValueError("--passes must be >= 1")
         if self.passes is not None and self.range_r is not None:

@@ -31,6 +31,12 @@ the rounded bound.  No slack is needed, and a zero range gives a bound of
 exactly 0.0: a constant lift, and every strip column inside one copy (where
 the lift depends on x alone), is not sampled at all.
 
+eps_n and the cell quadrature depend on the lift and n alone, so each is
+computed at its first use and kept per (lift, n) for as long as the lift
+lives; only eps_n_prime is searched again for each path.  A kept value is the
+float the first call returned, and a lift has no mutators, so a later call
+returns what a fresh computation would, bit for bit.
+
 The representatives are embedded as i/n + (j/n)*tau and i/n + (j/n)*tau'
 from a generator; i/n is the correctly rounded float of Fraction(i, n), so
 these are QTau.embed's values bit for bit, without embedding n^2 QTau.
@@ -41,6 +47,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -283,6 +290,23 @@ def compare_data_points(a: DataPointSet, b: DataPointSet) -> list[int]:
     return bad
 
 
+@dataclass
+class _Kept:
+    """The path-independent results for one lift and n, each set at its
+    first use."""
+
+    eps_n: float | None = None
+    quadrature: float | None = None
+
+
+#: per live lift, n -> its _Kept; an entry dies with its lift
+_KEPT: weakref.WeakKeyDictionary[TorusLift, dict[int, _Kept]] = weakref.WeakKeyDictionary()
+
+
+def _kept(lift: TorusLift, n: int) -> _Kept:
+    return _KEPT.setdefault(lift, {}).setdefault(n, _Kept())
+
+
 class ErrorEstimate(NamedTuple):
     eps_n: float
     eps_n_prime: float
@@ -345,18 +369,9 @@ def _largest(
     return best
 
 
-def error_estimate(lift: TorusLift, n: int, path: PathDecomposition) -> ErrorEstimate:
-    """Sampled oscillation bounds for the two-step quadrature.
-
-    eps_n is the largest oscillation of the lift over any refined sub-cell
-    (sampled on a _CELL_SAMPLES^2 grid); eps_n_prime is the largest vertical
-    oscillation within any strip of the path decomposition (sampled at
-    _STRIP_Y_SAMPLES heights on the column at each of _STRIP_X_SAMPLES
-    abscissae).  Sampling makes both lower bounds of the true suprema; they
-    are reported as computed.  Both are taken by _largest, over the rows of
-    sub-cells and over the columns at each abscissa (see the module
-    docstring).
-    """
+def _eps_n(lift: TorusLift, n: int) -> float:
+    """The largest sampled oscillation of the lift over the refined
+    sub-cells."""
     step = 1.0 / n
     offs = [k / (_CELL_SAMPLES - 1.0) * step for k in range(_CELL_SAMPLES)]
 
@@ -367,7 +382,26 @@ def error_estimate(lift: TorusLift, n: int, path: PathDecomposition) -> ErrorEst
         vals = [lift.evaluate_torus(u + v * TAU, u + v * TAU_STAR) for u in us for v in vs]
         return max(vals) - min(vals)
 
-    eps_n = _largest([(i, 0, n) for i in range(n)], partial(_subcell_bound, lift, n), cell)
+    return _largest([(i, 0, n) for i in range(n)], partial(_subcell_bound, lift, n), cell)
+
+
+def error_estimate(lift: TorusLift, n: int, path: PathDecomposition) -> ErrorEstimate:
+    """Sampled oscillation bounds for the two-step quadrature.
+
+    eps_n is the largest oscillation of the lift over any refined sub-cell
+    (sampled on a _CELL_SAMPLES^2 grid); eps_n_prime is the largest vertical
+    oscillation within any strip of the path decomposition (sampled at
+    _STRIP_Y_SAMPLES heights on the column at each of _STRIP_X_SAMPLES
+    abscissae).  Sampling makes both lower bounds of the true suprema; they
+    are reported as computed.  Both are taken by _largest, over the rows of
+    sub-cells and over the columns at each abscissa (see the module
+    docstring).  eps_n does not depend on the path: it is searched at the
+    first call for a lift and n and kept for later calls.
+    """
+    kept = _kept(lift, n)
+    if kept.eps_n is None:
+        kept.eps_n = _eps_n(lift, n)
+    eps_n = kept.eps_n
 
     # column k at abscissa x runs between the edges of strip k, cut to the
     # cell's chord (lo, hi) at x and moved in by _STRIP_SHRINK
@@ -405,11 +439,15 @@ def error_estimate(lift: TorusLift, n: int, path: PathDecomposition) -> ErrorEst
 
 
 def cell_quadrature(lift: TorusLift, n: int) -> float:
-    """(sqrt5/n^2) * sum of the lift over the refined representatives."""
-    total = 0.0
-    for _, _, x, x_star in _embedded_reps(n):
-        total += lift.evaluate_torus(x, x_star)
-    return SQRT5 * total / (n * n)
+    """(sqrt5/n^2) * sum of the lift over the refined representatives,
+    summed at the first call for a lift and n and kept for later calls."""
+    kept = _kept(lift, n)
+    if kept.quadrature is None:
+        total = 0.0
+        for _, _, x, x_star in _embedded_reps(n):
+            total += lift.evaluate_torus(x, x_star)
+        kept.quadrature = SQRT5 * total / (n * n)
+    return kept.quadrature
 
 
 def data_quadrature(f: LocalFunction, data: DataPointSet) -> float:

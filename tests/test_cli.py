@@ -215,6 +215,9 @@ def test_deterministic_output_files(tmp_path, capsys):
         (["compare", "--grid", "15:0:10"], "grid needs lo < hi and count >= 2"),
         (["compare", "--grid", "0:15:x"], "bad grid '0:15:x'"),
         (["frequencies", "--n", "0"], "--n must be >= 1"),
+        (["frequencies", "--n", "730"], "--n must be <= 729"),
+        (["coeffs", "--n", "730"], "--n must be <= 729"),
+        (["error-bound", "--n", "730"], "--n must be <= 729"),
         (["coeffs", "--n", "3", "--window=-0.9:0.7"],
          "a torus lift needs an exact window of length tau"),
         (["points", "--lo", "2e9", "--hi", "2000000010"],
@@ -245,6 +248,9 @@ def test_deterministic_output_files(tmp_path, capsys):
         "grid-order",
         "grid-count",
         "n-zero",
+        "n-above-limit-frequencies",
+        "n-above-limit-coeffs",
+        "n-above-limit-error-bound",
         "exact-window",
         "points-beyond-limit",
         "grid-beyond-limit",

@@ -1,7 +1,9 @@
 """Path decomposition of the irrational line and the two-step quadrature."""
 
+import gc
 import math
 import statistics
+import weakref
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -473,6 +475,64 @@ def test_error_estimate_bounds_runs_of_subcells(descriptor):
     lift.range_on = counting
     error_estimate(lift, 81, path_decomposition(passes=800))
     assert calls[0] <= 3_000
+
+
+@pytest.mark.parametrize("descriptor", [NEAREST, INTERVAL])
+def test_error_estimate_keeps_eps_n_per_lift_and_n(descriptor):
+    # the first call searches the sub-cells (30.5k calls); a later path on
+    # the same lift and n samples only strip columns, at most 40 * 5 calls
+    lift = torus_lift(descriptor)
+    error_estimate(lift, 81, path_decomposition(passes=600))
+    calls = _count_lift_calls(lift)
+    path = path_decomposition(passes=800)
+    est = error_estimate(lift, 81, path)
+    assert calls[0] <= 200
+    assert repr(est) == repr(error_estimate(torus_lift(descriptor), 81, path))
+
+
+def test_cell_quadrature_is_kept_per_lift_and_n():
+    lift = torus_lift(NEAREST)
+    first = cell_quadrature(lift, 27)
+    calls = _count_lift_calls(lift)
+    assert repr(cell_quadrature(lift, 27)) == repr(first)
+    assert calls[0] == 0
+
+
+def test_another_lift_or_n_is_computed_afresh():
+    path = path_decomposition(passes=300)
+    lift = torus_lift(NEAREST)
+    error_estimate(lift, 27, path)
+    cell_quadrature(lift, 27)
+    calls = _count_lift_calls(lift)
+    # another n on the same lift: the eps_n search at n=9 takes 3.1k calls
+    # and the sum 81
+    assert repr(error_estimate(lift, 9, path)) == repr(error_estimate(torus_lift(NEAREST), 9, path))
+    assert calls[0] > 1_000
+    calls[0] = 0
+    assert repr(cell_quadrature(lift, 9)) == repr(cell_quadrature(torus_lift(NEAREST), 9))
+    assert calls[0] == 81
+    # while n=27 is still kept: only the strip columns are sampled
+    calls[0] = 0
+    error_estimate(lift, 27, path)
+    cell_quadrature(lift, 27)
+    assert calls[0] <= 200
+    # another lift at the same n takes nothing kept for the first
+    other = torus_lift(NEAREST)
+    other_calls = _count_lift_calls(other)
+    error_estimate(other, 27, path)
+    cell_quadrature(other, 27)
+    assert other_calls[0] > 10_000
+
+
+def test_kept_results_do_not_keep_lifts_alive():
+    lift = torus_lift(NEAREST)
+    error_estimate(lift, 9, path_decomposition(passes=40))
+    cell_quadrature(lift, 9)
+    assert lift in discretize._KEPT
+    ref = weakref.ref(lift)
+    del lift
+    gc.collect()
+    assert ref() is None
 
 
 def _seed_assemble(n, path, choose):

@@ -78,9 +78,15 @@ _POINTS_CHUNK = 1.0e4
 
 #: the largest --n taken (README, "Range"): 729^2 = 531,441 frequency classes
 N_LIMIT = 729
+#: the most data-point terms, n^2 frequencies times n^2 data points, that a
+#: report builds a `sum` table from (README, "Range"): n = 81 is taken
+#: (4.3e7 terms), n = 243 (3.5e9) is not
+SUM_TERM_LIMIT = 10**8
 
 _FUNCTIONS = ("nearest", "interval")
 _ESTIMATORS = ("exact", "integral", "sum")
+#: the reports that build a `sum` table whatever their flags
+_SUM_COMMANDS = ("table1", "table2", "table3", "table4", "compare", "singularity")
 
 
 @dataclass
@@ -106,6 +112,12 @@ class RunConfig:
             raise ValueError("--n must be >= 1")
         if self.n is not None and self.n > N_LIMIT:
             raise ValueError(f"--n must be <= {N_LIMIT}")
+        builds_sum = self.command in _SUM_COMMANDS or self.estimator in ("sum", "all")
+        if builds_sum and self.n is not None and self.n**4 > SUM_TERM_LIMIT:
+            raise ValueError(
+                f"a sum table at --n {self.n} would take {self.n**4} data-point terms, "
+                f"more than {SUM_TERM_LIMIT}"
+            )
         if self.passes is not None and self.passes < 1:
             raise ValueError("--passes must be >= 1")
         if self.passes is not None and self.range_r is not None:
@@ -409,6 +421,8 @@ def _add_cosine_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser; each subcommand's `handler` default names its cmd_*
+    function, which main looks up at call time."""
     parser = _Parser(prog="fibfourier", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -417,18 +431,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--window", default="default", help="default | shifted | LO:HI")
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_points)
+    p.set_defaults(handler="cmd_points")
 
     p = sub.add_parser("data-points", help="discretization data points as CSV")
     p.add_argument("--n", type=int, required=True)
     _add_path_flags(p)
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_data_points)
+    p.set_defaults(handler="cmd_data_points")
 
     p = sub.add_parser("frequencies", help="minimal frequency representatives")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_frequencies)
+    p.set_defaults(handler="cmd_frequencies")
 
     p = sub.add_parser("coeffs", help="coefficient estimates")
     p.add_argument("--n", type=int, required=True)
@@ -437,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default="default")
     _add_path_flags(p)
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_coeffs)
+    p.set_defaults(handler="cmd_coeffs")
 
     for name, function, dn, dr in (
         ("table1", "nearest", 3, 21.64),
@@ -455,7 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
         if values:
             _add_cosine_flags(p)
         p.set_defaults(
-            func=cmd_values if values else cmd_coeff_table, function=function, default_range=dr
+            handler="cmd_values" if values else "cmd_coeff_table",
+            function=function,
+            default_range=dr,
         )
         p.add_argument("--out", default="-")
 
@@ -466,35 +482,42 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cosine_flags(p)
     p.add_argument("--grid", default="0:15:600", help="LO:HI:COUNT")
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_values, default_range=21.64)
+    p.set_defaults(handler="cmd_values", default_range=21.64)
 
     p = sub.add_parser("singularity", help="sum estimator on both windows")
     p.add_argument("--n", type=int, default=9)
     _add_path_flags(p)
     p.add_argument("--samples", type=int, default=800)
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_singularity)
+    p.set_defaults(handler="cmd_singularity")
 
     p = sub.add_parser("error-bound", help="sampled oscillation bounds")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--function", choices=_FUNCTIONS, default="nearest")
     _add_path_flags(p)
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_error_bound)
+    p.set_defaults(handler="cmd_error_bound")
 
     return parser
 
 
+#: main's parser, built at its first call and shared by later calls in the
+#: process; parse_args leaves it unchanged
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     if getattr(args, "default_range", None) is not None:
         if args.passes is None and args.range_r is None:
             args.range_r = args.default_range
     cfg = RunConfig(**{f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
     try:
         cfg.validate()
-        extra, columns, rows = args.func(cfg)
+        extra, columns, rows = globals()[args.handler](cfg)
         with _open_out(args.out) as out:
             _write_report(out, cfg, extra, columns, rows)
     except ArithmeticCapacityError as exc:

@@ -15,7 +15,6 @@ import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import product
 from operator import itemgetter
 from typing import NamedTuple, Union
 
@@ -275,21 +274,32 @@ class FrequencySet:
         return len(self.reps)
 
 
-def _norm4(half_a: int, half_b: int) -> int:
-    # 4 * ((k)^2 + (k')^2) for k = (half_a + half_b*tau)/2, an integer
-    return 2 * half_a * half_a + 2 * half_a * half_b + 3 * half_b * half_b
+#: the shifts j of half_b = q + n*j, nearest q in [0, n) first, so that an
+#: early row sets a small best norm and later rows are skipped
+_ROWS = (0, -1, 1, -2, 2, -3, 3)
 
 
 def _minimal_rep(p: int, q: int, n: int) -> Frequency:
-    best: tuple[int, int, int, int] | None = None
-    for i in range(-3, 4):
-        ha = p + n * i
-        for j in range(-3, 4):
-            hb = q + n * j
-            key = (_norm4(ha, hb), abs(ha) + abs(hb), ha, hb)
-            if best is None or key < best:
+    """The least key (norm, |half_a| + |half_b|, half_a, half_b) over the
+    members (p + n*i, q + n*j) of the class with -3 <= i, j <= 3.
+
+    The norm 4(k^2 + k'^2) = 2a^2 + 2ab + 3b^2 = (2a + b)^2/2 + 5b^2/2 is
+    strictly convex in a = half_a for fixed b = half_b, so a row's least
+    norm, and the only other point that can tie with it, lie at the two
+    shifts i next to a = -b/2, clamped to [-3, 3].  A row whose 5b^2/2
+    already exceeds the best norm holds no candidate that can win.
+    """
+    best = (math.inf, 0, 0, 0)
+    for j in _ROWS:
+        hb = q + n * j
+        if 5 * hb * hb > 2 * best[0]:
+            continue
+        i0 = (-hb - 2 * p) // (2 * n)
+        for i in (i0, i0 + 1):
+            ha = p + n * (-3 if i < -3 else 3 if i > 3 else i)
+            key = (2 * ha * ha + 2 * ha * hb + 3 * hb * hb, abs(ha) + abs(hb), ha, hb)
+            if key < best:
                 best = key
-    assert best is not None
     return Frequency(best[2], best[3])
 
 
@@ -304,14 +314,16 @@ def frequency_representatives(n: int) -> FrequencySet:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    chosen: dict[tuple[int, int], Frequency] = {}
-    for p, q in product(range(n), repeat=2):
-        neg = ((-p) % n, (-q) % n)
-        if (p, q) > neg:
-            continue
-        rep = _minimal_rep(p, q, n)
-        chosen[(p, q)] = rep
-        if neg != (p, q):
-            chosen[neg] = -rep
-    reps = sorted(chosen.values())
+    reps: list[Frequency] = []
+    for p in range(n):
+        neg_p = -p % n
+        for q in range(n):
+            neg = (neg_p, -q % n)
+            if (p, q) > neg:
+                continue
+            rep = _minimal_rep(p, q, n)
+            reps.append(rep)
+            if neg != (p, q):
+                reps.append(-rep)
+    reps.sort()
     return FrequencySet(n, reps)

@@ -206,6 +206,9 @@ def test_deterministic_output_files(tmp_path, capsys):
     assert b1.startswith(f"# fibfourier {__version__}\n".encode())
 
 
+SUM_243 = "a sum table at --n 243 would take 3486784401 data-point terms, more than 100000000"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -241,6 +244,16 @@ def test_deterministic_output_files(tmp_path, capsys):
          "the path would have 10000000 segments, more than 1000000"),
         (["points", "--lo", "0", "--hi", "5", "--window=-inf:inf"],
          "window endpoints must be finite and satisfy lo < hi"),
+        (["coeffs", "--n", "243", "--estimator", "sum", "--passes", "10"], SUM_243),
+        (["coeffs", "--n", "243", "--estimator", "all", "--passes", "10"], SUM_243),
+        (["table1", "--n", "243"], SUM_243),
+        (["table2", "--n", "243"], SUM_243),
+        (["table3", "--n", "243"], SUM_243),
+        (["table4", "--n", "243"], SUM_243),
+        (["compare", "--n", "243"], SUM_243),
+        (["singularity", "--n", "243"], SUM_243),
+        (["table1", "--n", "101"],
+         "a sum table at --n 101 would take 104060401 data-point terms, more than 100000000"),
     ],
     ids=[
         "window",
@@ -263,6 +276,15 @@ def test_deterministic_output_files(tmp_path, capsys):
         "range-too-long",
         "passes-too-many",
         "window-non-finite",
+        "sum-terms-coeffs-sum",
+        "sum-terms-coeffs-all",
+        "sum-terms-table1",
+        "sum-terms-table2",
+        "sum-terms-table3",
+        "sum-terms-table4",
+        "sum-terms-compare",
+        "sum-terms-singularity",
+        "sum-terms-above-budget",
     ],
 )
 def test_usage_error_writes_no_file(argv, message, tmp_path, capsys):
@@ -272,6 +294,17 @@ def test_usage_error_writes_no_file(argv, message, tmp_path, capsys):
     assert err == f"error: {message}\n"
     assert out == ""
     assert not target.exists()
+
+
+def test_sum_term_budget_takes_n_81_and_other_estimators():
+    assert 81**4 <= cli.SUM_TERM_LIMIT < 243**4
+    for command, estimator in (("coeffs", "sum"), ("coeffs", "all"), ("table1", None)):
+        cli.RunConfig(command, n=81, estimator=estimator).validate()
+    # only a sum table counts data-point terms
+    for estimator in ("exact", "integral"):
+        cli.RunConfig("coeffs", n=729, estimator=estimator).validate()
+    for command in ("frequencies", "data-points", "error-bound"):
+        cli.RunConfig(command, n=729).validate()
 
 
 @pytest.mark.parametrize("window", ["-2:2.618", "-0.3333333333333333:0.5"])
@@ -597,3 +630,42 @@ def test_reports_build_every_table_through_build_approximant(argv, monkeypatch, 
     rc, _, err = run_cli(argv, capsys)
     assert rc == 0, err
     assert kinds == ["exact", "integral", "sum"]
+
+
+def test_main_builds_its_parser_once(monkeypatch, tmp_path, capsys):
+    builds = []
+    build = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    # a parser left by earlier tests would hide the first build
+    monkeypatch.setattr(cli, "_PARSER", None, raising=False)
+    first, second, other = tmp_path / "first.csv", tmp_path / "second.csv", tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", "--n", "x"])
+    assert exc.value.code == 1
+    assert main(["table1", "--out", str(first)]) == 0
+    assert main(["table2", "--n", "9", "--range", "27", "--out", str(other)]) == 0
+    argv = ["coeffs", "--n", "7", "--estimator", "all", "--range", "30", "--out", str(other)]
+    assert main(argv) == 0
+    assert main(["table1", "--out", str(second)]) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_handler_is_looked_up_at_call_time(monkeypatch, capsys):
+    assert run_cli(["frequencies", "--n", "1"], capsys)[0] == 0
+    assert cli._PARSER is not None
+
+    def patched(cfg):
+        return {"patched": cfg.n}, ("x",), [(1,)]
+
+    monkeypatch.setattr(cli, "cmd_frequencies", patched)
+    rc, out, _ = run_cli(["frequencies", "--n", "2"], capsys)
+    assert rc == 0
+    _, extras, columns, rows = parse_report(out)
+    assert (extras, columns, rows) == ({"patched": "2"}, ["x"], [["1"]])

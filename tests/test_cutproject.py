@@ -1,11 +1,13 @@
 """Window acceptance, point enumeration, frequency picks."""
 
 import math
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
+from fibfourier import cutproject
 from fibfourier.cutproject import (
     ApproxWindow,
     Frequency,
@@ -194,6 +196,44 @@ def test_frequency_representatives_negation_closed_odd(n):
     reps = {(k.half_a, k.half_b) for k in frequency_representatives(n).reps}
     assert (0, 0) in reps
     assert {(-a, -b) for a, b in reps} == reps
+
+
+def _scan_rep(p, q, n):
+    # the reference: the least key (_norm4, |a| + |b|, a, b) over all 49
+    # members (p + n*i, q + n*j), -3 <= i, j <= 3, of the class
+    return min(
+        (2 * a * a + 2 * a * b + 3 * b * b, abs(a) + abs(b), a, b)
+        for a in range(p - 3 * n, p + 4 * n, n)
+        for b in range(q - 3 * n, q + 4 * n, n)
+    )[2:]
+
+
+def _scan_representatives(n):
+    chosen = {}
+    for p in range(n):
+        for q in range(n):
+            neg = (-p % n, -q % n)
+            if (p, q) <= neg:
+                a, b = chosen[(p, q)] = _scan_rep(p, q, n)
+                if neg != (p, q):
+                    chosen[neg] = (-a, -b)
+    return sorted(chosen.values())
+
+
+@pytest.mark.parametrize("ns", [range(1, 41), [81], [243]], ids=["n<=40", "n=81", "n=243"])
+def test_frequency_representatives_match_the_full_scan(ns):
+    for n in ns:
+        got = frequency_representatives(n)
+        assert got.n == n
+        assert [(k.half_a, k.half_b) for k in got] == _scan_representatives(n), n
+
+
+def test_minimal_rep_matches_the_full_scan_at_n_729():
+    n = 729
+    rng = random.Random(729)
+    for _ in range(2000):
+        p, q = rng.randrange(n), rng.randrange(n)
+        assert tuple(cutproject._minimal_rep(p, q, n)) == _scan_rep(p, q, n), (p, q)
 
 
 def test_frequency_value_phase_and_label():

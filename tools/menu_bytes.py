@@ -8,8 +8,11 @@ installed interpreter, with or without pytest; from the repository root:
 
     PYTHONPATH=src python3 tools/menu_bytes.py
 
-It prints one line per entry whose bytes differ (or whose run fails) and
-exits 1 if there is any, else prints how many entries matched and exits 0.
+The menu is run twice in one process, in menu order and then in reverse,
+so that any state one report leaves for a later one (the CLI keeps its
+parser between calls) shows up as a mismatch.  It prints one line per entry
+and pass whose bytes differ (or whose run fails) and exits 1 if there is
+any, else prints how many entries matched and exits 0.
 tests/test_golden_reports.py reads the menu through this module.
 """
 
@@ -56,20 +59,26 @@ def report_digest(argv: list[str]) -> tuple[int, str]:
 
 def main() -> int:
     menu, hashes = load_menu()
+    passes = {"in order": list(menu), "reversed": list(reversed(menu))}
     bad = []
-    for key, argv in menu.items():
-        code, digest = report_digest(argv)
-        if code != 0:
-            bad.append(f"{key}: exit code {code}")
-        elif digest != hashes.get(key):
-            bad.append(f"{key}: CSV bytes differ from the captured SHA-256")
+    for name, keys in passes.items():
+        for key in keys:
+            code, digest = report_digest(menu[key])
+            if code != 0:
+                bad.append(f"{key} ({name}): exit code {code}")
+            elif digest != hashes.get(key):
+                bad.append(f"{key} ({name}): CSV bytes differ from the captured SHA-256")
     version = f"Python {platform.python_version()}"
+    runs = len(passes) * len(menu)
     for line in bad:
         print(line)
     if bad:
-        print(f"{len(bad)} of {len(menu)} menu entries differ ({version})")
+        print(f"{len(bad)} of {runs} menu runs differ ({version})")
         return 1
-    print(f"all {len(menu)} menu entries match their captured SHA-256 ({version})")
+    print(
+        f"all {len(menu)} menu entries match their captured SHA-256, in order "
+        f"and reversed ({version})"
+    )
     return 0
 
 

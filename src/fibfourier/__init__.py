@@ -14,7 +14,6 @@ from .cutproject import (
     Frequency,
     FrequencySet,
     ModelPoint,
-    ModelSetSlice,
     Window,
     enumerate_model_set,
     frequency_representatives,
@@ -84,7 +83,6 @@ __all__ = [
     "FrequencySet",
     "LocalFunction",
     "ModelPoint",
-    "ModelSetSlice",
     "PathDecomposition",
     "PointContext",
     "POSITION_LIMIT",

@@ -13,9 +13,8 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import __version__
 from .cutproject import (
@@ -71,6 +70,7 @@ REFERENCE_XS: list[float] = [
 ]
 
 _SUMMARY_WINDOWS = ((0.0, 15.0), (200.0, 215.0), (-115.0, -100.0))
+_SUMMARY_SAMPLES = 1000  # sup-error positions per summary window
 
 #: `points` enumerates its range in slices this long, so its memory does not
 #: grow with the range
@@ -82,6 +82,11 @@ N_LIMIT = 729
 #: report builds a `sum` table from (README, "Range"): n = 81 is taken
 #: (4.3e7 terms), n = 243 (3.5e9) is not
 SUM_TERM_LIMIT = 10**8
+#: the most approximant terms a report evaluates, summed over its positions
+#: (README, "Range"), counted as (positions + 64) * (terms + 64): a position
+#: (f, the kernel call, a row) costs about as much as 64 terms, and a term's
+#: fit about as much as 64 positions
+EVAL_TERM_LIMIT = 10**8
 
 _FUNCTIONS = ("nearest", "interval")
 _ESTIMATORS = ("exact", "integral", "sum")
@@ -89,8 +94,7 @@ _ESTIMATORS = ("exact", "integral", "sum")
 _SUM_COMMANDS = ("table1", "table2", "table3", "table4", "compare", "singularity")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated, serializable invocation parameters."""
 
     command: str
@@ -132,9 +136,24 @@ class RunConfig:
             raise ValueError("--cosine-n must be >= 0")
         if self.samples is not None and self.samples < 2:
             raise ValueError("--samples must be >= 2")
+        if self.command == "singularity":
+            positions, terms = 2 * self.samples, self.n**2
+        elif self.command in ("table2", "table4", "compare"):
+            positions = len(REFERENCE_XS)
+            if self.grid is not None:
+                positions = parse_grid(self.grid)[2] + len(_SUMMARY_WINDOWS) * _SUMMARY_SAMPLES
+            terms = 3 * self.n**2 + self.cosine_n + 1
+        else:
+            return
+        work = (positions + 64) * (terms + 64)
+        if work > EVAL_TERM_LIMIT:
+            raise ValueError(
+                f"the report would evaluate {terms} approximant terms at {positions} positions, "
+                f"counted {work}, more than {EVAL_TERM_LIMIT}"
+            )
 
     def header_json(self) -> str:
-        data = {k: v for k, v in asdict(self).items() if v is not None}
+        data = {k: v for k, v in self._asdict().items() if v is not None}
         return json.dumps(data, sort_keys=True)
 
 
@@ -267,7 +286,7 @@ def cmd_points(cfg: RunConfig) -> Report:
     rows = (
         (p.algebraic.a, p.algebraic.b, _fmt(p.value), _fmt(p.algebraic.conj().embed().x), p.tile)
         for start, end, closed in _point_slices(cfg.lo, cfg.hi)
-        for p in enumerate_model_set(window, start, end).points
+        for p in enumerate_model_set(window, start, end)
         if closed or p.value < end
     )
     return {"count": count}, ("a", "b", "x", "x_star", "tile"), rows
@@ -342,7 +361,7 @@ def cmd_values(cfg: RunConfig) -> Report:
     extra = _path_extra(path)
     if cfg.grid is not None:
         for w_lo, w_hi in _SUMMARY_WINDOWS:
-            errors = sup_errors(aps, f, w_lo, w_hi, samples=1000)
+            errors = sup_errors(aps, f, w_lo, w_hi, samples=_SUMMARY_SAMPLES)
             for name, error in zip(("exact", "integral", "sum", "cosine"), errors):
                 extra[f"sup_error_{name}_[{_fmt(w_lo)},{_fmt(w_hi)}]"] = _fmt(error)
     return extra, ("x", "f", "f_exact", "f_int", "f_sum", "f_cos"), rows
@@ -514,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "default_range", None) is not None:
         if args.passes is None and args.range_r is None:
             args.range_r = args.default_range
-    cfg = RunConfig(**{f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
+    cfg = RunConfig(**{name: getattr(args, name, None) for name in RunConfig._fields})
     try:
         cfg.validate()
         extra, columns, rows = globals()[args.handler](cfg)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple, Union
 
@@ -30,6 +29,7 @@ from .ztau import (
 log = logging.getLogger(__name__)
 
 _TAG_MARGIN = 4.0  # enumeration overshoot so every kept point has a successor
+_SNAP_TOL = 1e-12  # ApproxWindow snaps an internal point this close to an endpoint
 
 #: positions are answered up to this magnitude (README, "Range"): beyond it
 #: the float error of a position grows past the stated precision
@@ -114,19 +114,14 @@ class ApproxWindow:
     """Acceptance interval with arbitrary float endpoints.
 
     Membership is decided in floating point; an internal coordinate within
-    `tol` of an endpoint is snapped onto it (and logged), then the inclusion
-    flags apply.
+    _SNAP_TOL of an endpoint is snapped onto it (and logged), then the
+    inclusion flags apply.
     """
 
-    __slots__ = ("lo", "hi", "includes_lo", "includes_hi", "tol")
+    __slots__ = ("lo", "hi", "includes_lo", "includes_hi")
 
     def __init__(
-        self,
-        lo: float,
-        hi: float,
-        includes_lo: bool = True,
-        includes_hi: bool = False,
-        tol: float = 1e-12,
+        self, lo: float, hi: float, includes_lo: bool = True, includes_hi: bool = False
     ) -> None:
         if not -math.inf < lo < hi < math.inf:
             raise ValueError("window endpoints must be finite and satisfy lo < hi")
@@ -134,7 +129,6 @@ class ApproxWindow:
         self.hi = float(hi)
         self.includes_lo = includes_lo
         self.includes_hi = includes_hi
-        self.tol = tol
 
     def bounds_float(self) -> tuple[float, float]:
         return self.lo, self.hi
@@ -149,7 +143,7 @@ class ApproxWindow:
         # matching Window.contains_star
         xs = xa + xb * TAU
         for endpoint, at_end in ((self.lo, self.includes_lo), (self.hi, self.includes_hi)):
-            if abs(xs - endpoint) <= self.tol:
+            if abs(xs - endpoint) <= _SNAP_TOL:
                 log.debug("boundary-grazing internal point %s near %s", xs, endpoint)
                 return at_end
         return self.lo < xs < self.hi
@@ -167,14 +161,6 @@ class ModelPoint(NamedTuple):
     # tile starting at this point: "long" (tau), "short" (1) or, on a window
     # of length other than tau, "other"
     tile: str
-
-
-@dataclass
-class ModelSetSlice:
-    points: list[ModelPoint]
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 def _enumerate_raw(window: AnyWindow, lo: float, hi: float) -> list[tuple[float, int, int]]:
@@ -219,7 +205,7 @@ def _tagged_range(window: AnyWindow, lo: float, hi: float) -> list[tuple[float, 
 _TILES = {(0, 1): "long", (1, 0): "short"}
 
 
-def enumerate_model_set(window: AnyWindow, lo: float, hi: float) -> ModelSetSlice:
+def enumerate_model_set(window: AnyWindow, lo: float, hi: float) -> list[ModelPoint]:
     """All model-set points x with lo <= x <= hi, sorted, tagged by tile."""
     raw = _tagged_range(window, lo, hi)
     points: list[ModelPoint] = []
@@ -227,7 +213,7 @@ def enumerate_model_set(window: AnyWindow, lo: float, hi: float) -> ModelSetSlic
         if v > hi:
             break
         points.append(ModelPoint(v, ZTau(a, b), _TILES.get((a1 - a, b1 - b), "other")))
-    return ModelSetSlice(points)
+    return points
 
 
 def count_model_set(window: AnyWindow, lo: float, hi: float, closed: bool = True) -> int:
@@ -262,10 +248,10 @@ class Frequency(NamedTuple):
         return f"({self.half_a:+d}{self.half_b:+d}tau)/2"
 
 
-@dataclass
 class FrequencySet:
-    n: int
-    reps: list[Frequency]
+    def __init__(self, n: int, reps: list[Frequency]) -> None:
+        self.n = n
+        self.reps = reps
 
     def __iter__(self):
         return iter(self.reps)

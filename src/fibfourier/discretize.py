@@ -49,7 +49,6 @@ import logging
 import math
 import weakref
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Iterator, NamedTuple
@@ -105,11 +104,14 @@ class _Target(NamedTuple):
     x_star: float
 
 
-@dataclass
 class PathDecomposition:
-    segments: list[Segment]
-    r: float
-    m: int
+    """The segments of a path through the cell, its length r and its
+    segment count m."""
+
+    def __init__(self, segments: list[Segment], r: float, m: int) -> None:
+        self.segments = segments
+        self.r = r
+        self.m = m
 
     @cached_property
     def targets(self) -> list[_Target]:
@@ -192,15 +194,13 @@ class DataPoint(NamedTuple):
     residual: float  # |s' + t'|, internal distance from the matched segment
 
 
-@dataclass(eq=False)
 class DataPointSet:
-    """The data points of one path, compared by identity (so fourier can
-    key its memo by the set)."""
+    """The data points of one path at refinement n, compared by identity (so
+    fourier can key its memo by the set)."""
 
-    n: int
-    m: int
-    r: float
-    points: list[DataPoint]
+    def __init__(self, n: int, points: list[DataPoint]) -> None:
+        self.n = n
+        self.points = points
 
     @cached_property
     def values(self) -> list[float]:
@@ -218,7 +218,7 @@ def _assemble(n: int, path: PathDecomposition, choose: Callable[[float], _Target
         translate, tx, tx_star = choose(x_star)
         pts.append(DataPoint(x + tx, QTau(fracs[i], fracs[j]), translate, abs(x_star + tx_star)))
     pts.sort(key=lambda p: p.u)
-    return DataPointSet(n, path.m, path.r, pts)
+    return DataPointSet(n, pts)
 
 
 def data_points(n: int, path: PathDecomposition) -> DataPointSet:
@@ -290,21 +290,19 @@ def compare_data_points(a: DataPointSet, b: DataPointSet) -> list[int]:
     return bad
 
 
-@dataclass
-class _Kept:
-    """The path-independent results for one lift and n, each set at its
-    first use."""
-
-    eps_n: float | None = None
-    quadrature: float | None = None
+#: per live lift, its path-independent results by (compute, n); an entry
+#: dies with its lift
+_KEPT: weakref.WeakKeyDictionary[TorusLift, dict[tuple, float]] = weakref.WeakKeyDictionary()
 
 
-#: per live lift, n -> its _Kept; an entry dies with its lift
-_KEPT: weakref.WeakKeyDictionary[TorusLift, dict[int, _Kept]] = weakref.WeakKeyDictionary()
-
-
-def _kept(lift: TorusLift, n: int) -> _Kept:
-    return _KEPT.setdefault(lift, {}).setdefault(n, _Kept())
+def _kept(compute: Callable[[TorusLift, int], float], lift: TorusLift, n: int) -> float:
+    """compute(lift, n), computed at the first call for the lift and n and
+    kept for later calls."""
+    kept = _KEPT.setdefault(lift, {})
+    value = kept.get((compute, n))
+    if value is None:
+        value = kept[compute, n] = compute(lift, n)
+    return value
 
 
 class ErrorEstimate(NamedTuple):
@@ -398,10 +396,7 @@ def error_estimate(lift: TorusLift, n: int, path: PathDecomposition) -> ErrorEst
     docstring).  eps_n does not depend on the path: it is searched at the
     first call for a lift and n and kept for later calls.
     """
-    kept = _kept(lift, n)
-    if kept.eps_n is None:
-        kept.eps_n = _eps_n(lift, n)
-    eps_n = kept.eps_n
+    eps_n = _kept(_eps_n, lift, n)
 
     # column k at abscissa x runs between the edges of strip k, cut to the
     # cell's chord (lo, hi) at x and moved in by _STRIP_SHRINK
@@ -438,16 +433,17 @@ def error_estimate(lift: TorusLift, n: int, path: PathDecomposition) -> ErrorEst
     return ErrorEstimate(eps_n, eps_p, SQRT5 * (eps_n + eps_p))
 
 
+def _cell_sum(lift: TorusLift, n: int) -> float:
+    total = 0.0
+    for _, _, x, x_star in _embedded_reps(n):
+        total += lift.evaluate_torus(x, x_star)
+    return SQRT5 * total / (n * n)
+
+
 def cell_quadrature(lift: TorusLift, n: int) -> float:
     """(sqrt5/n^2) * sum of the lift over the refined representatives,
     summed at the first call for a lift and n and kept for later calls."""
-    kept = _kept(lift, n)
-    if kept.quadrature is None:
-        total = 0.0
-        for _, _, x, x_star in _embedded_reps(n):
-            total += lift.evaluate_torus(x, x_star)
-        kept.quadrature = SQRT5 * total / (n * n)
-    return kept.quadrature
+    return _kept(_cell_sum, lift, n)
 
 
 def data_quadrature(f: LocalFunction, data: DataPointSet) -> float:

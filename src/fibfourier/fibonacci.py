@@ -29,13 +29,7 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import Callable, NamedTuple, Sequence
 
-from .cutproject import (
-    AnyWindow,
-    ModelSetSlice,
-    Window,
-    check_position,
-    enumerate_model_set,
-)
+from .cutproject import AnyWindow, ModelPoint, Window, check_position, enumerate_model_set
 from .ztau import SQRT5, TAU, TAU_STAR, ZTau
 
 INV_TAU = 1.0 / TAU
@@ -83,13 +77,13 @@ class PointContext:
 
     def __init__(self, window: AnyWindow | None = None) -> None:
         self.window = window if window is not None else Window.default()
-        self._slice: ModelSetSlice | None = None
+        self._slice: list[ModelPoint] | None = None
 
-    def ensure(self, lo: float, hi: float) -> ModelSetSlice:
+    def ensure(self, lo: float, hi: float) -> list[ModelPoint]:
         check_position(lo)
         check_position(hi)
         s = self._slice
-        if s is None or lo < s.points[0].value or hi >= s.points[-1].value:
+        if s is None or lo < s[0].value or hi >= s[-1].value:
             s = self._slice = enumerate_model_set(self.window, lo - _PAD, hi + _PAD)
         return s
 
@@ -120,16 +114,15 @@ class LocalFunction:
     def __init__(self, rule: TileRule, window: AnyWindow | None = None) -> None:
         self.rule = rule
         self.context = PointContext(window)
-        self._slice: ModelSetSlice | None = None
+        self._slice: list[ModelPoint] | None = None
         self._pieces: list[LinearPiece] = []
         self._starts: list[float] = []
 
     def _table(self, lo: float, hi: float) -> tuple[list[LinearPiece], list[float]]:
         s = self.context.ensure(lo, hi)
         if s is not self._slice:
-            pts = s.points
             self._pieces = [
-                piece for p, q in zip(pts, pts[1:]) for piece in self.rule(p.value, q.value, p.tile)
+                piece for p, q in zip(s, s[1:]) for piece in self.rule(p.value, q.value, p.tile)
             ]
             self._starts = [piece[0] for piece in self._pieces]
             self._slice = s

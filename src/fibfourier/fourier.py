@@ -89,7 +89,6 @@ from __future__ import annotations
 import cmath
 import math
 import weakref
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .cutproject import Frequency, FrequencySet
@@ -280,7 +279,6 @@ class _Plan(NamedTuple):
     order: list[int]
 
 
-@dataclass
 class Approximant:
     """Finite trigonometric sum, either over dual frequencies or the cosine
     baseline (period 4).
@@ -290,13 +288,14 @@ class Approximant:
     changed afterwards.  A table that is never evaluated (the coeffs and
     coefficient-table reports) holds no plan."""
 
-    kind: str  # exact | integral | sum | cosine
-    coeffs: list[Coefficient] = field(default_factory=list)
-    cosine: list[float] = field(default_factory=list)
-    _plan: _Plan | list[tuple[float, float]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _batch: _Batch | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(
+        self, kind: str, coeffs: Sequence[Coefficient] = (), cosine: Sequence[float] = ()
+    ) -> None:
+        self.kind = kind  # exact | integral | sum | cosine
+        self.coeffs = coeffs
+        self.cosine = cosine
+        self._plan: _Plan | list[tuple[float, float]] | None = None
+        self._batch: _Batch | None = None
 
     def _take_plan(self) -> _Plan | list[tuple[float, float]]:
         if self.kind == "cosine":

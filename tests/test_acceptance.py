@@ -241,7 +241,7 @@ def test_c07_substitution_equals_projection():
     algebraic point lists on [0, 1e4], in under a second."""
     t0 = time.monotonic()
     sub = [p for p in substitution_points(7400) if p.value <= 1.0e4]
-    acc = [p.algebraic for p in enumerate_model_set(Window.default(), 0.0, 1.0e4).points]
+    acc = [p.algebraic for p in enumerate_model_set(Window.default(), 0.0, 1.0e4)]
     dt = time.monotonic() - t0
     same = sub == acc
     ok = same and len(sub) == 7237 and dt < 1.0

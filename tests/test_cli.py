@@ -5,6 +5,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -87,7 +90,7 @@ def test_points_shifted_window_matches_library(capsys):
     window = Window.default().shifted(QTau(Fraction(1, 2)))
     expected = enumerate_model_set(window, 0.0, 5.0)
     assert [(int(r[0]), int(r[1])) for r in rows] == [
-        (p.algebraic.a, p.algebraic.b) for p in expected.points
+        (p.algebraic.a, p.algebraic.b) for p in expected
     ]
 
 
@@ -254,6 +257,15 @@ SUM_243 = "a sum table at --n 243 would take 3486784401 data-point terms, more t
         (["singularity", "--n", "243"], SUM_243),
         (["table1", "--n", "101"],
          "a sum table at --n 101 would take 104060401 data-point terms, more than 100000000"),
+        (["compare", "--grid", "0:15:1000000"],
+         "the report would evaluate 78 approximant terms at 1003000 positions, "
+         "counted 142435088, more than 100000000"),
+        (["singularity", "--samples", "1000000"],
+         "the report would evaluate 81 approximant terms at 2000000 positions, "
+         "counted 290009280, more than 100000000"),
+        (["table2", "--cosine-n", "10000000"],
+         "the report would evaluate 10000028 approximant terms at 15 positions, "
+         "counted 790007268, more than 100000000"),
     ],
     ids=[
         "window",
@@ -285,6 +297,9 @@ SUM_243 = "a sum table at --n 243 would take 3486784401 data-point terms, more t
         "sum-terms-compare",
         "sum-terms-singularity",
         "sum-terms-above-budget",
+        "eval-terms-grid-count",
+        "eval-terms-samples",
+        "eval-terms-cosine-n",
     ],
 )
 def test_usage_error_writes_no_file(argv, message, tmp_path, capsys):
@@ -305,6 +320,56 @@ def test_sum_term_budget_takes_n_81_and_other_estimators():
         cli.RunConfig("coeffs", n=729, estimator=estimator).validate()
     for command in ("frequencies", "data-points", "error-bound"):
         cli.RunConfig(command, n=729).validate()
+
+
+def test_eval_term_budget_takes_n_81_reports():
+    # (positions + 64) * (terms + 64) against the limit
+    cli.RunConfig("compare", n=81, cosine_n=50, grid="0:15:600").validate()
+    cli.RunConfig("table2", n=81, cosine_n=50).validate()
+    cli.RunConfig("singularity", n=81, samples=800).validate()
+    cli.RunConfig("compare", n=1, cosine_n=0, grid="0:15:1467524").validate()
+    with pytest.raises(ValueError, match="counted 100000052, more than"):
+        cli.RunConfig("compare", n=1, cosine_n=0, grid="0:15:1467525").validate()
+
+
+def test_config_header_is_pinned():
+    full = cli.RunConfig(
+        "compare",
+        n=9,
+        passes=27,
+        range_r=21.64,
+        function="interval",
+        window="-1:0.5",
+        cosine_n=10,
+        cosine_dc_halved=True,
+        grid="0:15:600",
+        lo=-3.5,
+        hi=40.0,
+        estimator="sum",
+        samples=800,
+    )
+    assert len(full) == 13 and None not in full
+    assert full.header_json() == (
+        '{"command": "compare", "cosine_dc_halved": true, "cosine_n": 10, '
+        '"estimator": "sum", "function": "interval", "grid": "0:15:600", "hi": 40.0, '
+        '"lo": -3.5, "n": 9, "passes": 27, "range_r": 21.64, "samples": 800, '
+        '"window": "-1:0.5"}'
+    )
+    assert cli.RunConfig("points").header_json() == '{"command": "points"}'
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        "import sys, fibfourier.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("window", ["-2:2.618", "-0.3333333333333333:0.5"])

@@ -19,8 +19,8 @@ from fibfourier.cutproject import (
 from fibfourier.ztau import QTau, TAU, TAU_STAR, ZTau
 
 
-def _pairs(slice_):
-    return [(p.algebraic.a, p.algebraic.b) for p in slice_.points]
+def _pairs(points):
+    return [(p.algebraic.a, p.algebraic.b) for p in points]
 
 
 def test_default_window():
@@ -73,8 +73,8 @@ def test_singular_pair_is_the_only_difference():
         -10.0,
         10.0,
     )
-    d = {(p.algebraic.a, p.algebraic.b) for p in default.points}
-    a = {(p.algebraic.a, p.algebraic.b) for p in alternate.points}
+    d = {(p.algebraic.a, p.algebraic.b) for p in default}
+    a = {(p.algebraic.a, p.algebraic.b) for p in alternate}
     assert d - a == {(-1, 0)}
     assert a - d == {(0, -1)}
 
@@ -95,15 +95,15 @@ def test_enumeration_examples():
 
 def test_enumeration_sorted_and_in_window():
     sl = enumerate_model_set(Window.default(), -200.0, 200.0)
-    values = [p.value for p in sl.points]
+    values = [p.value for p in sl]
     assert values == sorted(values)
-    assert all(Window.default().contains(p.algebraic) for p in sl.points)
+    assert all(Window.default().contains(p.algebraic) for p in sl)
     assert all(-200.0 <= v <= 200.0 for v in values)
 
 
 def test_gaps_and_tile_tags():
     sl = enumerate_model_set(Window.default(), -300.0, 300.0)
-    for p, q in zip(sl.points, sl.points[1:]):
+    for p, q in zip(sl, sl[1:]):
         gap = q.value - p.value
         if abs(gap - 1.0) < 1e-9:
             assert p.tile == "short"
@@ -116,12 +116,12 @@ def test_gaps_and_tile_tags():
 def test_tile_tags_follow_the_exact_step():
     # far out, a float gap is tau or 1 only to within ~1e-7, but the step to
     # the next point is exact
-    far = enumerate_model_set(Window.default(), 5.0e8, 5.0e8 + 200.0).points
+    far = enumerate_model_set(Window.default(), 5.0e8, 5.0e8 + 200.0)
     assert {p.tile for p in far} == {"long", "short"}
     # a window of length 1.6 has tiles of length 1, tau and tau^2
     sl = enumerate_model_set(ApproxWindow(-0.9, 0.7), -50.0, 50.0)
     steps = {"long": ZTau(0, 1), "short": ZTau(1, 0)}
-    for p, q in zip(sl.points, sl.points[1:]):
+    for p, q in zip(sl, sl[1:]):
         assert steps.get(p.tile, ZTau(1, 1)) == q.algebraic - p.algebraic
 
 
@@ -130,14 +130,14 @@ def test_tile_tag_matches_internal_subwindow():
     # [tau - 2, tau - 1)
     sub = Window(QTau(-2, 1), QTau(-1, 1))
     sl = enumerate_model_set(Window.default(), -100.0, 100.0)
-    for p in sl.points:
+    for p in sl:
         assert (p.tile == "long") == sub.contains(p.algebraic)
 
 
 def test_tile_ratio_approaches_tau():
     sl = enumerate_model_set(Window.default(), 0.0, 1.0e4)
-    longs = sum(1 for p in sl.points if p.tile == "long")
-    shorts = sum(1 for p in sl.points if p.tile == "short")
+    longs = sum(1 for p in sl if p.tile == "long")
+    shorts = sum(1 for p in sl if p.tile == "short")
     assert abs(longs / shorts - TAU) / TAU < 0.02
 
 
@@ -251,7 +251,7 @@ def test_approx_window_matches_exact_enumeration():
     exact = enumerate_model_set(Window.default(), 0.0, 100.0)
     approx = enumerate_model_set(aw, 0.0, 100.0)
     assert _pairs(exact) == _pairs(approx)
-    assert len(exact.points) == 73
+    assert len(exact) == 73
 
 
 def test_approx_window_endpoint_snapping():
@@ -271,7 +271,7 @@ def test_approx_window_endpoint_snapping():
 def test_count_model_set_counts_the_enumerated_points(window):
     # ranges whose ends are points of the set (0, tau, 1, 1 + tau) or not
     for lo, hi in ((0.0, TAU), (-1.0, 1.0 + TAU), (-7.25, 60.5), (3.0, 3.0), (-500.0, 500.0)):
-        values = [p.value for p in enumerate_model_set(window, lo, hi).points]
+        values = [p.value for p in enumerate_model_set(window, lo, hi)]
         assert count_model_set(window, lo, hi) == len(values), (lo, hi)
         assert count_model_set(window, lo, hi, closed=False) == sum(v < hi for v in values)
 

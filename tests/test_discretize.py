@@ -161,7 +161,7 @@ def test_data_points_basic_invariants():
     for n in (3, 7):
         data = data_points(n, path)
         assert len(data) == n * n
-        assert data.n == n and data.m == 17
+        assert data.n == n
         us = data.values
         assert us == sorted(us)
         assert all(0.0 <= u <= path.r + 1e-9 for u in us)

@@ -56,7 +56,7 @@ def test_substitution_points_examples():
 def test_substitution_points_match_enumeration():
     pts = substitution_points(60)
     sl = enumerate_model_set(Window.default(), -0.5, pts[-1].value + 0.5)
-    assert [p.algebraic for p in sl.points if p.value >= -0.5] == pts
+    assert [p.algebraic for p in sl if p.value >= -0.5] == pts
     # gaps follow the letters: a <-> long step tau, b <-> short step 1
     word = substitution_word(60)
     for i, (p, q) in enumerate(zip(pts, pts[1:])):
@@ -91,7 +91,7 @@ def test_nearest_distance_is_one_lipschitz():
 def test_nearest_distance_zeros_and_peaks():
     f = nearest_distance()
     sl = enumerate_model_set(Window.default(), 0.0, 40.0)
-    for p, q in zip(sl.points, sl.points[1:]):
+    for p, q in zip(sl, sl[1:]):
         assert f(p.value) == pytest.approx(0.0, abs=1e-12)
         mid = 0.5 * (p.value + q.value)
         assert f(mid) == pytest.approx(0.5 * (q.value - p.value), abs=1e-9)
@@ -174,7 +174,7 @@ def _check_cover(name, f, window, lo, hi):
     # breakpoints are the tile ends, plus the tile midpoints for the tent
     sl = enumerate_model_set(window, lo - 10.0, hi + 10.0)
     expected = set()
-    for p, q in zip(sl.points, sl.points[1:]):
+    for p, q in zip(sl, sl[1:]):
         expected.add(p.value)
         if name == "nearest":
             expected.add(0.5 * (p.value + q.value))
@@ -183,14 +183,14 @@ def _check_cover(name, f, window, lo, hi):
     for x0, x1, c, m in pieces:
         assert x0 < x1
         mid = 0.5 * (x0 + x1)
-        assert c + m * mid == pytest.approx(_reference(name, sl.points, mid), abs=1e-9)
-        assert f(mid) == pytest.approx(_reference(name, sl.points, mid), abs=1e-9)
+        assert c + m * mid == pytest.approx(_reference(name, sl, mid), abs=1e-9)
+        assert f(mid) == pytest.approx(_reference(name, sl, mid), abs=1e-9)
 
 
 def _check_covers(name, window):
     f = _MAKERS[name](window)
     _check_cover(name, f, window, 0.0, 20.0)
-    points = enumerate_model_set(window, -5.0, 40.0).points
+    points = enumerate_model_set(window, -5.0, 40.0)
     ends = [p.value for p in points]
     mids = [0.5 * (p.value + q.value) for p, q in zip(points, points[1:])]
     # bounds exactly on tile ends and tile midpoints, and inside one tile
@@ -224,7 +224,7 @@ def test_linear_pieces_cover_three_tile_window(name):
 
 def test_interval_sign_refuses_tiles_it_cannot_name():
     for window in _OTHER_TILES:
-        tiles = {p.tile for p in enumerate_model_set(window, -20.0, 20.0).points}
+        tiles = {p.tile for p in enumerate_model_set(window, -20.0, 20.0)}
         assert "other" in tiles, window
         f = interval_sign(window)
         for call in (lambda: f(0.0), lambda: f.linear_pieces(0.0, 5.0), lambda: f.values_at([1.0])):
@@ -232,7 +232,7 @@ def test_interval_sign_refuses_tiles_it_cannot_name():
                 call()
         # the tent reads only the tile ends
         g = nearest_distance(window)
-        points = enumerate_model_set(window, -5.0, 5.0).points
+        points = enumerate_model_set(window, -5.0, 5.0)
         assert g(points[2].value) == 0.0
         assert g(0.5 * (points[2].value + points[3].value)) == pytest.approx(
             0.5 * (points[3].value - points[2].value), abs=1e-12
@@ -352,7 +352,7 @@ def test_lift_restricts_to_line():
     # a fine grid and every tile midpoint over [-600, 2000], which takes in
     # the tiles around [-tau^2, 0)
     grid = [-600.0 + 2600.0 * i / 400_000 for i in range(400_001)]
-    points = [p.value for p in enumerate_model_set(Window.default(), -600.0, 2000.0).points]
+    points = [p.value for p in enumerate_model_set(Window.default(), -600.0, 2000.0)]
     mids = [0.5 * (p + q) for p, q in zip(points, points[1:])]
     # interval_sign jumps at the model points, where a float t cannot tell
     # which tile it starts, so only the continuous tent is checked there
@@ -384,7 +384,7 @@ def test_lift_on_shifted_window_restricts_to_line():
     # the shifted window moves the support rectangles by -1/2 internally;
     # moving them by +1/2 instead fails this check
     grid = [-600.0 + 2600.0 * i / 40_000 for i in range(40_001)]
-    points = [p.value for p in enumerate_model_set(_SHIFTED, -600.0, 2000.0).points]
+    points = [p.value for p in enumerate_model_set(_SHIFTED, -600.0, 2000.0)]
     mids = [0.5 * (p + q) for p, q in zip(points, points[1:])]
     for f, ts in (
         (nearest_distance(_SHIFTED), grid + mids + points),

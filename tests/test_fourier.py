@@ -515,13 +515,14 @@ def test_repeated_and_new_range_queries_compute_afresh(monkeypatch):
 
 
 def test_coefficient_memos_do_not_keep_functions_alive(monkeypatch):
-    data = data_points(3, path_decomposition(passes=10))
+    path = path_decomposition(passes=10)
+    data = data_points(3, path)
     f = nearest_distance()
     lift = TorusLift(f.rule)
     k = Frequency(1, 1)
     for q in (K00, k):  # k != 0 leaves a partner behind
         coeff_sum(q, f, data)
-        coeff_integral(q, f, data.r)
+        coeff_integral(q, f, path.r)
         coeff_exact(q, lift)
     # f goes while the data set that holds its samples and partners lives
     ref = weakref.ref(f)

@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import __version__
 from .cutproject import (
-    AnyWindow,
     ApproxWindow,
     Window,
     check_position,
@@ -187,7 +186,7 @@ def _write_report(
         writer.writerow(list(row))
 
 
-def parse_window(spec: str) -> AnyWindow:
+def parse_window(spec: str) -> Window:
     if spec == "default":
         return Window.default()
     if spec == "shifted":
@@ -229,7 +228,7 @@ def _path_extra(path: PathDecomposition) -> dict[str, object]:
     return {"effective_range": _fmt(path.r), "segments": path.m}
 
 
-def _function(name: str, window: AnyWindow | None = None) -> LocalFunction:
+def _function(name: str, window: Window | None = None) -> LocalFunction:
     return nearest_distance(window) if name == "nearest" else interval_sign(window)
 
 
@@ -241,7 +240,7 @@ def _approximants(
     n: int,
     function: str,
     path: PathDecomposition | None,
-    window: AnyWindow | None = None,
+    window: Window | None = None,
 ) -> tuple[LocalFunction, list[Approximant]]:
     """The local function and one approximant per named estimator over the
     n^2 frequency representatives, each built by build_approximant from
@@ -369,10 +368,15 @@ def cmd_values(cfg: RunConfig) -> Report:
 
 def cmd_singularity(cfg: RunConfig) -> Report:
     path = _resolve_path(cfg, default_passes=27)
+    # the frequencies and data points depend on n and the path alone, so
+    # both windows share them
+    freqs = frequency_representatives(cfg.n)
+    data = data_points(cfg.n, path)
     lo, hi = -TAU * TAU, 0.0
     errors = {}
     for name in ("default", "shifted"):
-        f, (ap,) = _approximants(("sum",), cfg.n, "nearest", path, parse_window(name))
+        f = _function("nearest", parse_window(name))
+        ap = build_approximant("sum", freqs, f=f, data=data)
         errors[name] = sup_error(ap, f, lo, hi, samples=cfg.samples)
     extra = {
         **_path_extra(path),

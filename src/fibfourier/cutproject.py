@@ -7,15 +7,20 @@ point set with tile lengths tau (long) and 1 (short).  The dual lattice is
 (1/2)Z[tau], so frequencies are half-integer pairs (half_a + half_b*tau)/2,
 and the frequency content of an N-fold refinement is indexed by the quotient
 classes (half_a mod N, half_b mod N).
+
+Every window is exact: its endpoints lie in Q(tau), and a point's membership
+is decided by integer comparisons.  A float endpoint is taken as the exact
+rational it represents (ApproxWindow), so there is one membership test and no
+tolerance.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from operator import itemgetter
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .ztau import (
     SQRT5,
@@ -26,10 +31,7 @@ from .ztau import (
     _sign_root5,
 )
 
-log = logging.getLogger(__name__)
-
 _TAG_MARGIN = 4.0  # enumeration overshoot so every kept point has a successor
-_SNAP_TOL = 1e-12  # ApproxWindow snaps an internal point this close to an endpoint
 
 #: positions are answered up to this magnitude (README, "Range"): beyond it
 #: the float error of a position grows past the stated precision
@@ -110,49 +112,23 @@ class Window:
         return self.contains_star(x.a + x.b, -x.b)
 
 
-class ApproxWindow:
-    """Acceptance interval with arbitrary float endpoints.
+class ApproxWindow(Window):
+    """A Window given by finite float endpoints, each taken as the exact
+    rational it is (-0.9 is the double nearest -9/10), so membership is
+    Window's exact test, with no tolerance."""
 
-    Membership is decided in floating point; an internal coordinate within
-    _SNAP_TOL of an endpoint is snapped onto it (and logged), then the
-    inclusion flags apply.
-    """
-
-    __slots__ = ("lo", "hi", "includes_lo", "includes_hi")
+    __slots__ = ()
 
     def __init__(
         self, lo: float, hi: float, includes_lo: bool = True, includes_hi: bool = False
     ) -> None:
         if not -math.inf < lo < hi < math.inf:
             raise ValueError("window endpoints must be finite and satisfy lo < hi")
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self.includes_lo = includes_lo
-        self.includes_hi = includes_hi
+        super().__init__(QTau(Fraction(lo)), QTau(Fraction(hi)), includes_lo, includes_hi)
 
-    def bounds_float(self) -> tuple[float, float]:
-        return self.lo, self.hi
-
-    def __repr__(self) -> str:
-        lb = "[" if self.includes_lo else "("
-        rb = "]" if self.includes_hi else ")"
-        return f"ApproxWindow{lb}{self.lo}, {self.hi}{rb}"
-
-    def contains_star(self, xa: int, xb: int) -> bool:
-        # (xa, xb) are (1, tau)-basis coefficients of the internal point,
-        # matching Window.contains_star
-        xs = xa + xb * TAU
-        for endpoint, at_end in ((self.lo, self.includes_lo), (self.hi, self.includes_hi)):
-            if abs(xs - endpoint) <= _SNAP_TOL:
-                log.debug("boundary-grazing internal point %s near %s", xs, endpoint)
-                return at_end
-        return self.lo < xs < self.hi
-
-    def contains(self, x: ZTau) -> bool:
-        return self.contains_star(x.a + x.b, -x.b)
-
-
-AnyWindow = Union[Window, ApproxWindow]
+    # bound here as well, so Window.contains_star and ApproxWindow.contains_star
+    # can be wrapped apart (perfbench/spans.py traces both)
+    contains_star = Window.contains_star
 
 
 class ModelPoint(NamedTuple):
@@ -163,7 +139,7 @@ class ModelPoint(NamedTuple):
     tile: str
 
 
-def _enumerate_raw(window: AnyWindow, lo: float, hi: float) -> list[tuple[float, int, int]]:
+def _enumerate_raw(window: Window, lo: float, hi: float) -> list[tuple[float, int, int]]:
     """(a + b*tau, a, b) of the model-set points lo <= x <= hi, sorted by x."""
     w_lo, w_hi = window.bounds_float()
     out: list[tuple[float, int, int]] = []
@@ -188,7 +164,7 @@ def _enumerate_raw(window: AnyWindow, lo: float, hi: float) -> list[tuple[float,
     return out
 
 
-def _tagged_range(window: AnyWindow, lo: float, hi: float) -> list[tuple[float, int, int]]:
+def _tagged_range(window: Window, lo: float, hi: float) -> list[tuple[float, int, int]]:
     """_enumerate_raw over [lo, hi + _TAG_MARGIN], after checking that the
     range is valid and that every point up to hi has a successor in it."""
     if not lo <= hi:
@@ -205,7 +181,7 @@ def _tagged_range(window: AnyWindow, lo: float, hi: float) -> list[tuple[float, 
 _TILES = {(0, 1): "long", (1, 0): "short"}
 
 
-def enumerate_model_set(window: AnyWindow, lo: float, hi: float) -> list[ModelPoint]:
+def enumerate_model_set(window: Window, lo: float, hi: float) -> list[ModelPoint]:
     """All model-set points x with lo <= x <= hi, sorted, tagged by tile."""
     raw = _tagged_range(window, lo, hi)
     points: list[ModelPoint] = []
@@ -216,7 +192,7 @@ def enumerate_model_set(window: AnyWindow, lo: float, hi: float) -> list[ModelPo
     return points
 
 
-def count_model_set(window: AnyWindow, lo: float, hi: float, closed: bool = True) -> int:
+def count_model_set(window: Window, lo: float, hi: float, closed: bool = True) -> int:
     """len(enumerate_model_set(window, lo, hi)), with the same checks, but
     counted without building points or tile tags; with closed=False the
     points at hi are left out."""

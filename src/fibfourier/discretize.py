@@ -45,7 +45,6 @@ these are QTau.embed's values bit for bit, without embedding n^2 QTau.
 from __future__ import annotations
 
 import heapq
-import logging
 import math
 import weakref
 from bisect import bisect_left, bisect_right
@@ -55,8 +54,6 @@ from typing import Callable, Iterator, NamedTuple
 
 from .fibonacci import LocalFunction, TorusLift
 from .ztau import SQRT5, TAU, TAU_STAR, QTau, ZTau
-
-log = logging.getLogger(__name__)
 
 _U_WRAP = TAU * SQRT5  # physical lattice coordinate wraps at multiples of this
 _V_WRAP = SQRT5        # internal lattice coordinate wraps at multiples of this
@@ -129,25 +126,6 @@ class PathDecomposition:
         return order, [TAU_STAR, *(0.5 * (lo + hi) for lo, hi in zip(b, b[1:])), 1.0]
 
 
-def _crossings(limit_count: int | None, limit_r: float | None):
-    iu, iv = 1, 1
-    out: list[tuple[str, float]] = []
-    while True:
-        tu = iu * _U_WRAP
-        tv = iv * _V_WRAP
-        if tv <= tu:
-            kind, t = "v", tv
-            iv += 1
-        else:
-            kind, t = "u", tu
-            iu += 1
-        if limit_r is not None and t > limit_r:
-            return out
-        out.append((kind, t))
-        if limit_count is not None and len(out) == limit_count:
-            return out
-
-
 def path_decomposition(
     passes: int | None = None, range_r: float | None = None
 ) -> PathDecomposition:
@@ -172,19 +150,27 @@ def path_decomposition(
         count = math.floor(range_r / _U_WRAP) + math.floor(range_r / _V_WRAP)
     if count > SEGMENT_LIMIT:
         raise ValueError(f"the path would have {count} segments, more than {SEGMENT_LIMIT}")
-    crossings = _crossings(passes, range_r)
+    # a segment is translated by the cu physical and cv internal crossings
+    # before it, and ends at the next one, (cu + 1)*tau*sqrt5 or
+    # (cv + 1)*sqrt5 (the internal one on a tie); consecutive translates
+    # share the int of the count that did not change, which keeps the path
+    # at R = 1e6 about 23 MB smaller than fresh ints would
     segments: list[Segment] = []
     t0 = 0.0
     cu = cv = 0
-    for kind, t in crossings:
+    while passes is None or len(segments) < passes:
+        tu = (cu + 1) * _U_WRAP
+        tv = (cv + 1) * _V_WRAP
+        t = tv if tv <= tu else tu
+        if range_r is not None and t > range_r:
+            break
         segments.append(Segment(t0, t, ZTau(cu, cv)))
-        if kind == "u":
-            cu += 1
-        else:
+        if tv <= tu:
             cv += 1
+        else:
+            cu += 1
         t0 = t
-    r = segments[-1].t_exit
-    return PathDecomposition(segments, r, len(segments))
+    return PathDecomposition(segments, t0, len(segments))
 
 
 class DataPoint(NamedTuple):
@@ -275,19 +261,15 @@ def strip_projection_oracle(n: int, path: PathDecomposition) -> DataPointSet:
 
 
 def compare_data_points(a: DataPointSet, b: DataPointSet) -> list[int]:
-    """Indices where two equally sized data-point sets disagree (logged)."""
+    """Indices where two equally sized data-point sets disagree: where their
+    u differ by more than _MATCH_TOL."""
     if len(a) != len(b):
         raise ValueError("data-point sets differ in size")
-    bad = [
+    return [
         j
         for j, (pa, pb) in enumerate(zip(a.points, b.points))
         if abs(pa.u - pb.u) > _MATCH_TOL
     ]
-    for j in bad:
-        log.info(
-            "data point %d differs: %.12g vs %.12g", j, a.points[j].u, b.points[j].u
-        )
-    return bad
 
 
 #: per live lift, its path-independent results by (compute, n); an entry

@@ -29,7 +29,7 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import Callable, NamedTuple, Sequence
 
-from .cutproject import AnyWindow, ModelPoint, Window, check_position, enumerate_model_set
+from .cutproject import ModelPoint, Window, check_position, enumerate_model_set
 from .ztau import SQRT5, TAU, TAU_STAR, ZTau
 
 INV_TAU = 1.0 / TAU
@@ -75,7 +75,7 @@ class PointContext:
     context per worker.
     """
 
-    def __init__(self, window: AnyWindow | None = None) -> None:
+    def __init__(self, window: Window | None = None) -> None:
         self.window = window if window is not None else Window.default()
         self._slice: list[ModelPoint] | None = None
 
@@ -111,7 +111,7 @@ class LocalFunction:
     that table.
     """
 
-    def __init__(self, rule: TileRule, window: AnyWindow | None = None) -> None:
+    def __init__(self, rule: TileRule, window: Window | None = None) -> None:
         self.rule = rule
         self.context = PointContext(window)
         self._slice: list[ModelPoint] | None = None
@@ -179,11 +179,11 @@ def _step(p: float, q: float, tile: str) -> list[LinearPiece]:
     return [(p, q, 1.0 if tile == "long" else -1.0, 0.0)]
 
 
-def nearest_distance(window: AnyWindow | None = None) -> LocalFunction:
+def nearest_distance(window: Window | None = None) -> LocalFunction:
     return LocalFunction(_tent, window)
 
 
-def interval_sign(window: AnyWindow | None = None) -> LocalFunction:
+def interval_sign(window: Window | None = None) -> LocalFunction:
     return LocalFunction(_step, window)
 
 
@@ -213,19 +213,20 @@ class TorusLift:
     rectangle per tile type, and on each it is the rule on a tile of that
     type centred at the origin, moved to the rectangle's midpoint.  Moving
     the window by s moves both rectangles by -s in the internal direction.
-    Only exact windows of length tau are taken: other lengths give other
-    tiles, and a float window has no exact shift.
+    Only windows of exactly length tau are taken, since other lengths give
+    other tiles; the ends of a float window are rationals, so its length is
+    never tau.
     """
 
     #: (x0, x1, y0, y1) of the supporting rectangles for the default window
     SHORT_RECT = (-1.0, 0.0, -INV_TAU, 0.0)
     LONG_RECT = (0.0, TAU, -INV_TAU, INV_TAU2)
 
-    def __init__(self, rule: TileRule, window: AnyWindow | None = None) -> None:
+    def __init__(self, rule: TileRule, window: Window | None = None) -> None:
         default = Window.default()
         if window is None:
             window = default
-        if not isinstance(window, Window) or window.length() != default.length():
+        if window.length() != default.length():
             raise ValueError("a torus lift needs an exact window of length tau")
         s = self._shift = (window.lo - default.lo).value
         supports = []

@@ -362,7 +362,7 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = (
         "import sys, fibfourier.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'logging'} & set(sys.modules)))"
     )
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run(
@@ -625,6 +625,21 @@ def test_singularity_small_run(capsys):
     _, extras, _, rows = parse_report(out)
     assert extras["segments"] == "10"
     assert len(rows) == 2
+
+
+def test_singularity_builds_one_data_point_set(monkeypatch, capsys):
+    # both windows read the same n and path, so they share one set
+    calls = []
+    real = cli.data_points
+
+    def data_points(n, path):
+        calls.append((n, path.m))
+        return real(n, path)
+
+    monkeypatch.setattr(cli, "data_points", data_points)
+    rc, _, _ = run_cli(["singularity", "--n", "3", "--passes", "10", "--samples", "50"], capsys)
+    assert rc == 0
+    assert calls == [(3, 10)]
 
 
 def test_error_bound_report_defaults(capsys):

@@ -264,6 +264,18 @@ def test_approx_window_endpoint_snapping():
     assert aw.contains_star(2, -1) == (2.0 + -1.0 * TAU < 1.0)
 
 
+def test_approx_window_membership_is_exact_near_an_endpoint():
+    # the internal point 2 - tau lies 5e-13 below h: inside [-1, h), outside
+    # [h, 1), however close it is
+    h = (2.0 - TAU) + 5e-13
+    assert ApproxWindow(-1.0, h).contains_star(2, -1)
+    assert not ApproxWindow(h, 1.0).contains_star(2, -1)
+    # the ends are the floats' exact values
+    w = ApproxWindow(-0.9, h)
+    assert (w.lo, w.hi) == (QTau(Fraction(-0.9)), QTau(Fraction(h)))
+    assert w.lo != QTau(Fraction(-9, 10))
+
+
 @pytest.mark.parametrize(
     "window",
     [Window.default(), Window.default().shifted(QTau(Fraction(1, 2))), ApproxWindow(-1.0, 0.5)],

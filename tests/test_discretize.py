@@ -110,11 +110,15 @@ def test_path_segment_count_from_the_range():
 def test_path_refusals_come_before_any_segment(monkeypatch):
     calls = []
 
-    def crossings(passes, range_r):
-        calls.append((passes, range_r))
-        return [("v", _SQ5)]
+    class Built(Exception):
+        pass
 
-    monkeypatch.setattr(discretize, "_crossings", crossings)
+    def segment(*args):
+        # the first segment stops the build: a refusal must come before it
+        calls.append(args)
+        raise Built
+
+    monkeypatch.setattr(discretize, "Segment", segment)
     for r in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="range must be finite"):
             path_decomposition(range_r=r)
@@ -123,9 +127,56 @@ def test_path_refusals_come_before_any_segment(monkeypatch):
             path_decomposition(**kwargs)
     assert calls == []
     # the limit itself, and R = 1e6 (723,606 segments), are taken
-    path_decomposition(passes=SEGMENT_LIMIT)
-    path_decomposition(range_r=1e6)
-    assert calls == [(SEGMENT_LIMIT, None), (None, 1e6)]
+    for kwargs in ({"passes": SEGMENT_LIMIT}, {"range_r": 1e6}):
+        with pytest.raises(Built):
+            path_decomposition(**kwargs)
+    assert calls == [(0.0, _SQ5, ZTau(0, 0))] * 2
+
+
+def _two_step_segments(passes, range_r):
+    """The segments as first built: a list of (kind, t) crossings, then one
+    segment per crossing."""
+    iu, iv = 1, 1
+    crossings = []
+    while True:
+        tu = iu * (TAU * _SQ5)
+        tv = iv * _SQ5
+        if tv <= tu:
+            kind, t = "v", tv
+            iv += 1
+        else:
+            kind, t = "u", tu
+            iu += 1
+        if range_r is not None and t > range_r:
+            break
+        crossings.append((kind, t))
+        if passes is not None and len(crossings) == passes:
+            break
+    segments = []
+    t0 = 0.0
+    cu = cv = 0
+    for kind, t in crossings:
+        segments.append(Segment(t0, t, ZTau(cu, cv)))
+        if kind == "u":
+            cu += 1
+        else:
+            cv += 1
+        t0 = t
+    return segments
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"passes": m} for m in (1, 2, 17, 1000)]
+    # ranges equal to crossing times, and one between them
+    + [{"range_r": r} for r in (_SQ5, TAU * _SQ5, 2.0 * _SQ5, 1000.0)],
+)
+def test_path_segments_match_the_two_step_construction(kwargs):
+    path = path_decomposition(**kwargs)
+    expected = _two_step_segments(kwargs.get("passes"), kwargs.get("range_r"))
+    assert path.segments == expected
+    assert [type(seg.translate) for seg in path.segments] == [ZTau] * len(expected)
+    assert path.r == expected[-1].t_exit and path.m == len(expected)
 
 
 def test_path_segments_chain_and_cells():

@@ -294,10 +294,11 @@ def cmd_points(cfg: RunConfig) -> Report:
 def cmd_data_points(cfg: RunConfig) -> Report:
     path = _resolve_path(cfg)
     data = data_points(cfg.n, path)
-    rows = [
+    # each record is formatted as it is written, and none is kept
+    rows = (
         (j, _fmt(p.u), str(p.s.a), str(p.s.b), p.translate.a, p.translate.b, _fmt(p.residual))
-        for j, p in enumerate(data.points)
-    ]
+        for j, p in enumerate(data.records())
+    )
     columns = ("j", "u", "s_a", "s_b", "t_a", "t_b", "internal_residual")
     return _path_extra(path), columns, rows
 

@@ -12,6 +12,14 @@ bounds for a lift G control the quadrature error:
     |integral_C G - (sqrt5/N^2) sum G(s_i)|  <=  sqrt5 * eps_n
     |integral_C G - (sqrt5/N^2) sum G(u_j, 0)| <  sqrt5 * (eps_n + eps_n_prime)
 
+Both matchings, data_points and strip_projection_oracle, walk the
+representatives once in order of s' and give each segment a run of them:
+data_points runs its exact pick only at the ends of runs (its docstring
+says why every member gets the pick of its ends), and the oracle cuts the
+runs at its strip edges by bisection.  A DataPointSet holds the ascending
+u, which every numeric step reads, and builds DataPoint records only when
+they are read.
+
 Both oscillations are maxima over members of runs: eps_n over the sub-cells
 of each row of the refined lattice, eps_n_prime over the strip columns at
 each sampled abscissa.  One search (_largest) halves runs in order of
@@ -182,44 +190,97 @@ class DataPoint(NamedTuple):
 
 class DataPointSet:
     """The data points of one path at refinement n, compared by identity (so
-    fourier can key its memo by the set)."""
+    fourier can key its memo by the set).
 
-    def __init__(self, n: int, points: list[DataPoint]) -> None:
+    values holds each u, ascending; reps the representative index i*n + j
+    of each, and targets the target of every representative by index.  They
+    rebuild the records, which records() yields and points keeps from its
+    first read.
+    """
+
+    def __init__(self, n: int, values: list[float], reps: list[int], targets: list[_Target]) -> None:
         self.n = n
-        self.points = points
+        self.values = values
+        self._reps = reps
+        self._targets = targets
+
+    def records(self) -> Iterator[DataPoint]:
+        """The DataPoint of each value, in order; s' is recomputed as
+        _embedded_reps computes it."""
+        n = self.n
+        fracs = [Fraction(i, n) for i in range(n)]
+        for u, k in zip(self.values, self._reps):
+            i, j = divmod(k, n)
+            translate, _, tx_star = self._targets[k]
+            residual = abs(i / n + j / n * TAU_STAR + tx_star)
+            yield DataPoint(u, QTau(fracs[i], fracs[j]), translate, residual)
 
     @cached_property
-    def values(self) -> list[float]:
-        return [p.u for p in self.points]
+    def points(self) -> list[DataPoint]:
+        return list(self.records())
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.values)
 
 
-def _assemble(n: int, path: PathDecomposition, choose: Callable[[float], _Target]) -> DataPointSet:
-    """One data point per representative s, on the segment choose(s') picks."""
-    fracs = [Fraction(i, n) for i in range(n)]
-    pts = []
-    for i, j, x, x_star in _embedded_reps(n):
-        translate, tx, tx_star = choose(x_star)
-        pts.append(DataPoint(x + tx, QTau(fracs[i], fracs[j]), translate, abs(x_star + tx_star)))
-    pts.sort(key=lambda p: p.u)
-    return DataPointSet(n, pts)
+def _sorted_reps(n: int) -> tuple[list[float], list[int], list[float]]:
+    """x of each representative in _embedded_reps order, the indices of the
+    representatives in order of x' (ties in index order), and x' in that
+    order."""
+    xs, xs_star = [], []
+    for _, _, x, x_star in _embedded_reps(n):
+        xs.append(x)
+        xs_star.append(x_star)
+    order = sorted(range(n * n), key=xs_star.__getitem__)
+    return xs, order, [xs_star[k] for k in order]
+
+
+def _assemble(n: int, xs: list[float], order: list[int], picked: list[_Target]) -> DataPointSet:
+    """The data points of the representatives order[p] matched with the
+    targets picked[p]: u = x + t, ordered by u, equal u in representative
+    order (as a stable sort of the points in _embedded_reps order gives)."""
+    targets: list = [None] * len(xs)
+    for k, target in zip(order, picked):
+        targets[k] = target
+    us = [x + target.x for x, target in zip(xs, targets)]
+    by_u = sorted(range(len(us)), key=us.__getitem__)
+    return DataPointSet(n, [us[k] for k in by_u], by_u, targets)
 
 
 def data_points(n: int, path: PathDecomposition) -> DataPointSet:
     """One data point u = s + t per representative, choosing the pass
     translate with minimal internal residual |s' + t'| (ties: smaller t).
 
-    The nearest heights below and above s' are found by bisecting the sorted
-    segment heights; every height at the same distance joins the argmin, so
-    the pick is that of the brute-force minimum over all segments.
+    The pick at s' bisects the sorted segment heights for the nearest below
+    and above; every height at the same distance joins the argmin, so the
+    pick is that of the brute-force minimum over all segments.
+
+    The pick runs only at the ends of runs: walking the representatives in
+    order of s', a run takes those of one pick.  Its end is guessed at the
+    midpoint from the picked height to the next, and moved back while the
+    pick at the end differs; a run that ends early is followed by another
+    of the same pick.  Every representative of a run gets the pick of its
+    two ends because the pick is monotone in s'.  Float subtraction is
+    monotone, so between two adjacent heights the distance to the lower one
+    does not fall as s' rises and that to the upper one does not rise: the
+    pick moves from the lower to the upper once, through at most one tie
+    pick, which does not change with s'.  Equal heights are at one distance
+    from every s', so the first row of the group by (t, index) is picked
+    for all of it.  Two distinct heights on one side of s' round to one
+    distance only when they differ by at most an ulp of the distance, below
+    2^-51 * (1 + max |height|) as |s'| < 1; a path with two heights that
+    close is refused.  A path_decomposition path has none: its heights
+    differ by more than 1e-7 at SEGMENT_LIMIT segments.
     """
     rows = sorted((-target.x_star, target.x, i, target) for i, target in enumerate(path.targets))
     heights = [row[0] for row in rows]
     last = len(rows) - 1
+    # the ulp bound of the docstring; distinct floats differ by more than 0.0
+    close = 2.0**-51 * (1.0 + max(-heights[0], heights[-1]))
+    if any(0.0 < hi - lo <= close for lo, hi in zip(heights, heights[1:])):
+        raise ValueError("segment heights closer than a rounding unit of a distance")
 
-    def choose(ss: float) -> _Target:
+    def pick(ss: float) -> tuple:
         i = bisect_left(heights, ss)
         lo, hi = max(i - 1, 0), min(i, last)
         d_lo, d_hi = abs(ss - heights[lo]), abs(ss - heights[hi])
@@ -235,10 +296,22 @@ def data_points(n: int, path: PathDecomposition) -> DataPointSet:
         while hi < last and abs(ss - heights[hi + 1]) == d:
             hi += 1
         if lo == hi:
-            return rows[lo][3]
-        return min(rows[lo : hi + 1], key=lambda row: (abs(ss - row[0]), row[1], row[2]))[3]
+            return rows[lo]
+        return min(rows[lo : hi + 1], key=lambda row: (abs(ss - row[0]), row[1], row[2]))
 
-    return _assemble(n, path, choose)
+    xs, order, ss = _sorted_reps(n)
+    end = len(ss)
+    picked: list[_Target] = []
+    p = 0
+    while p < end:
+        row = pick(ss[p])
+        above = bisect_right(heights, row[0])
+        q = end if above > last else max(bisect_right(ss, 0.5 * (row[0] + heights[above]), p), p + 1)
+        while pick(ss[q - 1]) is not row:
+            q -= 1
+        picked += [row[3]] * (q - p)
+        p = q
+    return _assemble(n, xs, order, picked)
 
 
 def strip_projection_oracle(n: int, path: PathDecomposition) -> DataPointSet:
@@ -247,17 +320,18 @@ def strip_projection_oracle(n: int, path: PathDecomposition) -> DataPointSet:
     The cell is sliced at the midpoints between consecutive sorted segment
     heights (outer edges tau' and 1); each representative projects onto the
     unique segment running through its strip.  A representative exactly on a
-    strip boundary joins the strip below it.
+    strip boundary joins the strip below it.  The representatives in order
+    of s' fall into the strips in runs, cut by one bisect per edge.
     """
-    order, c = path.strips
-
-    def choose(ss: float) -> _Target:
-        idx = bisect_left(c, ss)
-        if idx < 1 or idx > len(order):
-            raise RuntimeError("representative escaped the strip partition")
-        return order[idx - 1]
-
-    return _assemble(n, path, choose)
+    strips, edges = path.strips
+    xs, order, ss = _sorted_reps(n)
+    cuts = [bisect_right(ss, edge) for edge in edges]
+    if cuts[0] > 0 or cuts[-1] < len(ss):
+        raise RuntimeError("representative escaped the strip partition")
+    picked: list[_Target] = []
+    for target, p, q in zip(strips, cuts, cuts[1:]):
+        picked += [target] * (q - p)
+    return _assemble(n, xs, order, picked)
 
 
 def compare_data_points(a: DataPointSet, b: DataPointSet) -> list[int]:
@@ -265,11 +339,7 @@ def compare_data_points(a: DataPointSet, b: DataPointSet) -> list[int]:
     u differ by more than _MATCH_TOL."""
     if len(a) != len(b):
         raise ValueError("data-point sets differ in size")
-    return [
-        j
-        for j, (pa, pb) in enumerate(zip(a.points, b.points))
-        if abs(pa.u - pb.u) > _MATCH_TOL
-    ]
+    return [j for j, (ua, ub) in enumerate(zip(a.values, b.values)) if abs(ua - ub) > _MATCH_TOL]
 
 
 #: per live lift, its path-independent results by (compute, n); an entry

@@ -22,6 +22,7 @@ from fibfourier.cutproject import (
     enumerate_model_set,
     frequency_representatives,
 )
+from fibfourier.discretize import DataPointSet, data_points, path_decomposition
 from fibfourier.fibonacci import LocalFunction, TorusLift, nearest_distance
 from fibfourier.fourier import coeff_exact
 from fibfourier.ztau import ArithmeticCapacityError, QTau, TAU
@@ -419,6 +420,25 @@ def test_data_points_report(capsys):
     # grid coordinates serialize as exact fractions
     assert {r[2] for r in rows} == {"0", "1/3", "2/3"}
     assert extras["segments"] == "10"
+
+
+def test_data_points_report_streams_the_records(monkeypatch, capsys):
+    # the rows are the points formatted in order, and the report reads the
+    # records one by one, not the kept list
+    data = data_points(27, path_decomposition(passes=300))
+    expected = [
+        [str(j), cli._fmt(p.u), str(p.s.a), str(p.s.b), str(p.translate.a), str(p.translate.b),
+         cli._fmt(p.residual)]
+        for j, p in enumerate(data.points)
+    ]
+
+    def refuse(self):
+        raise AssertionError("the report read DataPointSet.points")
+
+    monkeypatch.setattr(DataPointSet, "points", property(refuse))
+    rc, out, _ = run_cli(["data-points", "--n", "27", "--passes", "300"], capsys)
+    assert rc == 0
+    assert parse_report(out)[3] == expected
 
 
 def test_table1_default_run(capsys):

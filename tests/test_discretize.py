@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibfourier import discretize
-from fibfourier.cutproject import Frequency, Window
+from fibfourier.cutproject import Frequency, Window, frequency_representatives
 from fibfourier.discretize import (
     SEGMENT_LIMIT,
     DataPoint,
@@ -41,7 +41,7 @@ from fibfourier.fibonacci import (
     interval_sign,
     torus_lift,
 )
-from fibfourier.fourier import coeff_sum
+from fibfourier.fourier import build_approximant, coeff_sum
 from fibfourier.ztau import DELTA, QTau, SQRT5, TAU, TAU_STAR, ZTau
 
 _SQ5 = math.sqrt(5.0)
@@ -331,6 +331,53 @@ def test_data_points_break_ties_like_the_argmin():
     for order in (real * 2, real[::-1] + real, real[::2] + real[1::2]):
         path = PathDecomposition(order, 0.0, len(order))
         assert data_points(9, path).points == _argmin_points(9, path)
+
+
+# real segments, two translates whose float heights coincide (see above),
+# and two pairs of heights -+h, whose tie at s' = 0 picks the upper and the
+# lower segment: a run then ends before or at the midpoint
+_TIE_SEGMENTS = [Segment(0.0, 1.0, t) for t in (ZTau(1, 1), ZTau(-1, -1), ZTau(0, -1), ZTau(0, 1))]
+_PICK_SEGMENTS = [
+    *path_decomposition(passes=40).segments,
+    Segment(0.0, 1.0, ZTau(681279976, 1102334157)),
+    Segment(1.0, 2.0, ZTau(618033990, 1000000002)),
+    *_TIE_SEGMENTS,
+]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@example(2, _TIE_SEGMENTS[:2])
+@example(2, _TIE_SEGMENTS[2:])
+@given(st.integers(1, 12), st.lists(st.sampled_from(_PICK_SEGMENTS), min_size=1, max_size=40))
+def test_runs_pick_like_the_argmin_on_any_path(n, segments):
+    # drawn with replacement: shuffled, with repeats, with and without the
+    # coinciding heights
+    path = PathDecomposition(segments, 0.0, len(segments))
+    assert data_points(n, path).points == _argmin_points(n, path)
+    assert list(map(repr, strip_projection_oracle(n, path).points)) == list(
+        map(repr, _seed_strip_projection(n, path))
+    )
+
+
+def test_data_points_refuse_heights_closer_than_rounding():
+    # distinct heights this close could round to one distance from one s'
+    # and not from another, where the pick in runs would not be the argmin's
+    segs = [Segment(0.0, 1.0, ZTau(0, 0)), Segment(1.0, 2.0, QTau(Fraction(1, 2**60)))]
+    with pytest.raises(ValueError, match="closer than a rounding unit"):
+        data_points(3, PathDecomposition(segs, 2.0, 2))
+
+
+def test_numeric_path_builds_no_records(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a DataPoint was built")
+
+    monkeypatch.setattr(discretize, "DataPoint", refuse)
+    path = path_decomposition(passes=150)
+    data = data_points(27, path)
+    assert compare_data_points(data, strip_projection_oracle(27, path)) == []
+    f = nearest_distance()
+    assert data_quadrature(f, data) > 0.0
+    assert len(build_approximant("sum", frequency_representatives(27), f=f, data=data).coeffs) == 729
 
 
 def test_strip_projection_n1():

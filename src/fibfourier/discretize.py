@@ -26,18 +26,26 @@ each sampled abscissa.  One search (_largest) halves runs in order of
 decreasing bound and samples only single members, until no bound left
 exceeds the largest sample; each maximum equals the value from sampling
 every member bit for bit, because a run's bound is at least the sampled
-oscillation of each of its members.  The bound is hi - lo of
-TorusLift.range_on over the run grown by 1e-9, or inf when the grown run
-crosses support copies.  The margin is far above the ~1e-15 rounding of a
-sample's coordinates, so every sample of a member lies in the grown run; a
-copy is a rectangle, so it holds the run when it holds the corners, and the
-sample locates to that copy, with a chart abscissa between the corners'.
-On one copy every sample is c + m*u with u inside the range that range_on
-evaluates, and rounding is monotone, so each sample lies between range_on's
-two end values and the rounded difference of two samples is no larger than
-the rounded bound.  No slack is needed, and a zero range gives a bound of
-exactly 0.0: a constant lift, and every strip column inside one copy (where
-the lift depends on x alone), is not sampled at all.
+oscillation of each of its members.  A run of sub-cells is bounded by
+hi - lo of TorusLift.range_on over the run grown by 1e-9, or inf when the
+grown run crosses support copies.  The margin is far above the ~1e-15
+rounding of a sample's coordinates, so every sample of a member lies in the
+grown run; a copy is a rectangle, so it holds the run when it holds the
+corners, and the sample locates to that copy, with a chart abscissa between
+the corners'.  On one copy every sample is c + m*u with u inside the range
+that range_on evaluates, and rounding is monotone, so each sample lies
+between range_on's two end values and the rounded difference of two samples
+is no larger than the rounded bound.  No slack is needed, and a zero range
+gives a bound of exactly 0.0, so a constant lift is not sampled at all.
+
+A run of strip columns lies on one vertical line, grown by 1e-9 at both
+ends as well.  On one copy the lift depends on x alone, so range_on over the
+two ends would read one chart abscissa and give (v, v), or None across
+copies: the bound is exactly 0.0 when the copy that holds the bottom end
+(TorusLift.locate) holds the top end too, and inf otherwise.  By the
+argument above every sample of such a run locates to that copy with the
+same chart abscissa, so each is the same v and the sampled oscillation is
+0.0: the zero bound holds, and such runs are never sampled.
 
 eps_n and the cell quadrature depend on the lift and n alone, so each is
 computed at its first use and kept per (lift, n) for as long as the lift
@@ -45,8 +53,8 @@ lives; only eps_n_prime is searched again for each path.  A kept value is the
 float the first call returned, and a lift has no mutators, so a later call
 returns what a fresh computation would, bit for bit.
 
-The representatives are embedded as i/n + (j/n)*tau and i/n + (j/n)*tau'
-from a generator; i/n is the correctly rounded float of Fraction(i, n), so
+The representatives are embedded as two float columns, i/n + (j/n)*tau and
+i/n + (j/n)*tau'; i/n is the correctly rounded float of Fraction(i, n), so
 these are QTau.embed's values bit for bit, without embedding n^2 QTau.
 """
 
@@ -81,16 +89,15 @@ _STRIP_SHRINK = 1e-9
 SEGMENT_LIMIT = 1_000_000
 
 
-def _embedded_reps(n: int) -> Iterator[tuple[int, int, float, float]]:
-    """(i, j, x, x') of each representative (i + j*tau)/n, 0 <= i, j < n,
-    with j varying fastest.  float(Fraction(i, n)) and i / n are both the
-    correctly rounded quotient, so (x, x') equals QTau.embed's pair bit for
-    bit."""
-    for i in range(n):
-        fi = i / n
-        for j in range(n):
-            fj = j / n
-            yield i, j, fi + fj * TAU, fi + fj * TAU_STAR
+def _rep_columns(n: int) -> tuple[list[float], list[float]]:
+    """x and x' of each representative (i + j*tau)/n, 0 <= i, j < n, with j
+    varying fastest: i/n + (j/n)*tau and i/n + (j/n)*tau'.  float(Fraction(i,
+    n)) and i / n are both the correctly rounded quotient, so each (x, x')
+    equals QTau.embed's pair bit for bit."""
+    fs = [i / n for i in range(n)]
+    xs = [fi + fj * TAU for fi in fs for fj in fs]
+    xs_star = [fi + fj * TAU_STAR for fi in fs for fj in fs]
+    return xs, xs_star
 
 
 class Segment(NamedTuple):
@@ -128,10 +135,15 @@ class PathDecomposition:
     def strips(self) -> tuple[list[_Target], list[float]]:
         """Segment targets sorted by height and the edges of their
         horizontal strips: tau', the midpoints between consecutive heights,
-        then 1."""
+        then 1.  The strips partition the cell only while the edges ascend,
+        which holds when every height lies in [tau', 1], as on every
+        path_decomposition path; a path whose edges go down is refused."""
         order = sorted(self.targets, key=lambda target: -target.x_star)
         b = [-target.x_star for target in order]
-        return order, [TAU_STAR, *(0.5 * (lo + hi) for lo, hi in zip(b, b[1:])), 1.0]
+        edges = [TAU_STAR, *(0.5 * (lo + hi) for lo, hi in zip(b, b[1:])), 1.0]
+        if any(hi < lo for lo, hi in zip(edges, edges[1:])):
+            raise ValueError("strip edges go down: a segment height lies far outside [tau', 1]")
+        return order, edges
 
 
 def path_decomposition(
@@ -206,7 +218,7 @@ class DataPointSet:
 
     def records(self) -> Iterator[DataPoint]:
         """The DataPoint of each value, in order; s' is recomputed as
-        _embedded_reps computes it."""
+        _rep_columns computes it."""
         n = self.n
         fracs = [Fraction(i, n) for i in range(n)]
         for u, k in zip(self.values, self._reps):
@@ -224,13 +236,10 @@ class DataPointSet:
 
 
 def _sorted_reps(n: int) -> tuple[list[float], list[int], list[float]]:
-    """x of each representative in _embedded_reps order, the indices of the
+    """x of each representative in _rep_columns order, the indices of the
     representatives in order of x' (ties in index order), and x' in that
     order."""
-    xs, xs_star = [], []
-    for _, _, x, x_star in _embedded_reps(n):
-        xs.append(x)
-        xs_star.append(x_star)
+    xs, xs_star = _rep_columns(n)
     order = sorted(range(n * n), key=xs_star.__getitem__)
     return xs, order, [xs_star[k] for k in order]
 
@@ -238,7 +247,7 @@ def _sorted_reps(n: int) -> tuple[list[float], list[int], list[float]]:
 def _assemble(n: int, xs: list[float], order: list[int], picked: list[_Target]) -> DataPointSet:
     """The data points of the representatives order[p] matched with the
     targets picked[p]: u = x + t, ordered by u, equal u in representative
-    order (as a stable sort of the points in _embedded_reps order gives)."""
+    order (as a stable sort of the points in _rep_columns order gives)."""
     targets: list = [None] * len(xs)
     for k, target in zip(order, picked):
         targets[k] = target
@@ -389,8 +398,12 @@ def _subcell_bound(lift: TorusLift, n: int, i: int, j0: int, j1: int) -> float:
 
 def _column_bound(lift: TorusLift, x: float, lo: float, hi: float) -> float:
     """The bound of the vertical run of strip columns from (x, lo) to (x, hi),
-    grown by _BOUND_MARGIN."""
-    return _spread(lift, [(x, lo - _BOUND_MARGIN), (x, hi + _BOUND_MARGIN)])
+    grown by _BOUND_MARGIN: 0.0 when one copy holds both grown ends, else
+    inf.  Both ends have the chart abscissa of x in that copy, so this is
+    _spread over them without reading the piece table."""
+    a, b, table, _ = lift.locate(x, lo - _BOUND_MARGIN)
+    top = lift.locate(x, hi + _BOUND_MARGIN)
+    return 0.0 if top[0] == a and top[1] == b and top[2] is table else math.inf
 
 
 def _largest(
@@ -487,7 +500,7 @@ def error_estimate(lift: TorusLift, n: int, path: PathDecomposition) -> ErrorEst
 
 def _cell_sum(lift: TorusLift, n: int) -> float:
     total = 0.0
-    for _, _, x, x_star in _embedded_reps(n):
+    for x, x_star in zip(*_rep_columns(n)):
         total += lift.evaluate_torus(x, x_star)
     return SQRT5 * total / (n * n)
 

@@ -133,21 +133,40 @@ class LocalFunction:
         return _piece_value(pieces, starts, t)
 
     def values_at(self, ts: Sequence[float]) -> list[float]:
-        """f at each of the ascending positions ts, as __call__ gives it.
+        """f at each of the positions ts, which must ascend, as __call__
+        gives it.
 
         Each stretch of positions whose neighbours lie within 2*_PAD, at
         most _BATCH_SPAN long, is read from one piece table.  That table
         enumerates no more points than one table per position would, and
-        memory does not grow with the span of ts.
+        memory does not grow with the span of ts.  The table is bisected
+        for the first position of a stretch and then walked forward: the
+        pieces are contiguous, so the piece that holds each later position
+        is the first from there whose end lies above it, the piece __call__
+        bisects for.  A position below the one before it is refused.
         """
         out: list[float] = []
+        append = out.append
         k, end = 0, len(ts)
         while k < end:
+            first = ts[k]
             j = k + 1
-            while j < end and ts[j] - ts[j - 1] <= 2 * _PAD and ts[j] - ts[k] <= _BATCH_SPAN:
+            while j < end and 0.0 <= ts[j] - ts[j - 1] <= 2 * _PAD and ts[j] - first <= _BATCH_SPAN:
                 j += 1
-            pieces, starts = self._table(ts[k], ts[j - 1])
-            out.extend(_piece_value(pieces, starts, t) for t in ts[k:j])
+            if j < end and ts[j] < ts[j - 1]:
+                raise ValueError(f"values_at needs ascending positions, got {ts[j]} after {ts[j - 1]}")
+            pieces, starts = self._table(first, ts[j - 1])
+            i = bisect_right(starts, first) - 1
+            if i < 0:
+                raise RuntimeError("context coverage too small")
+            _, x1, c, m = pieces[i]
+            for t in ts[k:j]:
+                while t >= x1:
+                    i += 1
+                    if i == len(starts) or t < starts[i]:
+                        raise RuntimeError("context coverage too small")
+                    _, x1, c, m = pieces[i]
+                append(c + m * t)
             k = j
         return out
 
@@ -243,10 +262,12 @@ class TorusLift:
     def constant(cls, c: float) -> TorusLift:
         return cls(constant(c).rule)
 
-    def _locate(self, x: float, y: float) -> tuple[int, int, _Table, float]:
-        """The copy of the support that holds the plane point (x, y): the
-        lattice point a + b*tau it is moved by, the piece table of its
-        rectangle, and the chart abscissa xx = x - a - b*tau.
+    def locate(self, x: float, y: float) -> tuple[int, int, _Table, float]:
+        """The copy of the support that holds the plane point (x, y), and
+        the point's place in it: the lattice point a + b*tau the copy is
+        moved by, the piece table of its rectangle, and the chart abscissa
+        xx = x - a - b*tau.  Two points lie in one copy exactly when their
+        a, b and table (the same object) agree.
 
         The reduction runs on the default window's rectangles at (x, y + s).
         The copy that holds (x, y) lies in column b = floor((x - y)/sqrt5)
@@ -270,7 +291,7 @@ class TorusLift:
 
     def evaluate_torus(self, x: float, y: float) -> float:
         """Value at any plane point, reduced modulo the scheme lattice."""
-        _, _, (mid, ends, pieces), xx = self._locate(x, y)
+        _, _, (mid, ends, pieces), xx = self.locate(x, y)
         u = xx - mid
         _, _, c, m = pieces[bisect_right(ends, u)]
         return c + m * u
@@ -288,10 +309,10 @@ class TorusLift:
         is exact for the corners as given; rounding near the hull's edges
         is the caller's to allow for.
         """
-        a, b, table, lo = self._locate(*corners[0])
+        a, b, table, lo = self.locate(*corners[0])
         hi = lo
         for x, y in corners[1:]:
-            loc = self._locate(x, y)
+            loc = self.locate(x, y)
             if loc[0] != a or loc[1] != b or loc[2] is not table:
                 return None
             lo, hi = min(lo, loc[3]), max(hi, loc[3])

@@ -4,7 +4,7 @@ import gc
 import math
 import statistics
 import weakref
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -21,7 +21,8 @@ from fibfourier.discretize import (
     Segment,
     _cell_chord,
     _column_bound,
-    _embedded_reps,
+    _rep_columns,
+    _spread,
     _subcell_bound,
     cell_quadrature,
     compare_data_points,
@@ -380,6 +381,24 @@ def test_numeric_path_builds_no_records(monkeypatch):
     assert len(build_approximant("sum", frequency_representatives(27), f=f, data=data).coeffs) == 729
 
 
+def test_paths_whose_strip_edges_go_down_are_refused():
+    # heights 0, 1/tau and -2 (the translate 2) give the strip edges
+    # [tau', -1.0, 0.309, 1.0], which do not partition the cell
+    segs = [
+        Segment(0.0, 1.0, ZTau(0, 0)),
+        Segment(1.0, 2.0, ZTau(0, 1)),
+        Segment(2.0, 3.0, ZTau(2, 0)),
+    ]
+    path = PathDecomposition(segs, 3.0, 3)
+    for n in (1, 3, 9):
+        with pytest.raises(ValueError, match="strip edges go down"):
+            strip_projection_oracle(n, path)
+        # the nearest-height matching reads no strips
+        assert data_points(n, path).points == _argmin_points(n, path)
+    with pytest.raises(ValueError, match="strip edges go down"):
+        error_estimate(torus_lift(NEAREST), 3, path)
+
+
 def test_strip_projection_n1():
     data = strip_projection_oracle(1, path_decomposition(passes=5))
     assert len(data) == 1
@@ -682,7 +701,7 @@ def _seed_cell_quadrature(lift, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 9, 27, 81])
 def test_refinement_grid_matches_exact_embedding_bitwise(n):
     # lists of reprs, so a failure names the first differing point
-    grid = [repr((x, x_star)) for _, _, x, x_star in _embedded_reps(n)]
+    grid = [repr((x, x_star)) for x, x_star in zip(*_rep_columns(n))]
     assert grid == [repr(tuple(s.embed())) for s in refinement_reps(n)]
     for passes in (17, 600):
         path = path_decomposition(passes=passes)
@@ -733,6 +752,45 @@ _COPY_EDGES = sorted(
     if TAU_STAR <= h <= 1.0
 )
 _NEAR_COPY_EDGES = [h + d for h in _COPY_EDGES for d in (-5e-4, -2e-8, 2e-8, 5e-4)]
+
+
+def _check_column_bounds(lift, edges):
+    """At each of error_estimate's 40 abscissae, cut every strip column, each
+    run of two and the run of all from the edges as error_estimate cuts them,
+    and check that each bound is _spread over the run's grown ends."""
+    for ix in range(40):
+        x = (ix + 0.5) / 40 * (1.0 + TAU)
+        ch_lo, ch_hi = _cell_chord(x)
+        first = max(bisect_right(edges, ch_lo) - 1, 0)
+        last = min(bisect_left(edges, ch_hi), len(edges) - 1)
+        runs = [(k, k + d) for d in (1, 2) for k in range(first, last - d + 1)]
+        for k0, k1 in [*runs, (first, last)]:
+            lo = max(edges[k0], ch_lo) + 1e-9
+            hi = min(edges[k1], ch_hi) - 1e-9
+            expected = _spread(lift, [(x, lo - 1e-9), (x, hi + 1e-9)])
+            assert repr(_column_bound(lift, x, lo, hi)) == repr(expected), (ix, k0, k1)
+
+
+@pytest.mark.parametrize("passes", [1, 17, 300, 800])
+def test_column_bound_is_the_spread_of_its_ends(passes):
+    _, edges = path_decomposition(passes=passes).strips
+    for name in sorted(_LIFTS):
+        _check_column_bounds(_LIFTS[name](), edges)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@example("nearest", _NEAR_COPY_EDGES)
+@example("shifted", _NEAR_COPY_EDGES)
+@given(
+    st.sampled_from(sorted(_LIFTS)),
+    st.lists(
+        st.floats(TAU_STAR, 1.0)
+        | st.tuples(st.sampled_from(_COPY_EDGES), st.floats(-1e-3, 1e-3)).map(sum),
+        max_size=60,
+    ),
+)
+def test_column_bound_is_the_spread_of_its_ends_near_copy_edges(name, heights):
+    _check_column_bounds(_LIFTS[name](), [TAU_STAR, *sorted(heights), 1.0])
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibfourier import fibonacci
@@ -298,6 +298,87 @@ def test_values_at_reads_one_table_per_bounded_stretch():
         assert len(spans) == 8
         assert max(spans) <= fibonacci._BATCH_SPAN + 2 * _PAD + 1e-6
     assert nearest_distance().values_at([]) == []
+
+
+def _piece_ends(window):
+    """The tile points and tile midpoints of the window's model set in
+    [-2100, 2100]: every piece of the tent, the sign and the constant ends
+    at one of them."""
+    points = enumerate_model_set(window, -2100.0, 2100.0)
+    mids = {0.5 * (p.value + q.value) for p, q in zip(points, points[1:])}
+    return sorted({p.value for p in points} | mids)
+
+
+_WALKED = {
+    "nearest": (nearest_distance, Window.default()),
+    "interval": (interval_sign, Window.default()),
+    "constant": (lambda window: constant(3.0), Window.default()),
+    "nearest shifted": (nearest_distance, _WINDOWS["shifted"]),
+    "interval shifted": (interval_sign, _WINDOWS["shifted"]),
+}
+_ENDS = {name: _piece_ends(window) for name, (_, window) in _WALKED.items()}
+
+
+def _stretches(ends):
+    """Positions in pieces, sorted: single floats (negative ones, and gaps
+    wider than 2 * _PAD between them), exact piece ends twice over, runs of
+    consecutive piece ends, and evenly spaced runs from a piece end with
+    steps up to 2 * _PAD (one stretch, up to 80 * 2 * _PAD long, so longer
+    than _BATCH_SPAN; a zero step repeats one position)."""
+    k = st.integers(0, len(ends) - 1)
+    piece = st.one_of(
+        st.floats(-2000.0, 2000.0).map(lambda t: [t]),
+        st.sampled_from(ends).map(lambda t: [t, t]),
+        st.tuples(k, st.integers(1, 60)).map(lambda kc: ends[kc[0] : kc[0] + kc[1]]),
+        st.tuples(st.sampled_from(ends), st.floats(0.0, 2 * _PAD), st.integers(1, 80)).map(
+            lambda run: [run[0] + i * run[1] for i in range(run[2])]
+        ),
+    )
+    return st.lists(piece, min_size=1, max_size=6).map(lambda parts: sorted(t for part in parts for t in part))
+
+
+def _every_kind(ends):
+    """Positions with each kind _stretches draws: repeats, exact ends, a gap
+    wider than 2 * _PAD, a stretch longer than _BATCH_SPAN, negatives."""
+    k = next(i for i, t in enumerate(ends) if t >= -30.0)
+    near = ends[k : k + 40]
+    return sorted([*near, *near, -1500.0, -1500.0 + 3 * _PAD, *(100.0 + 30.0 * i for i in range(50))])
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@example(("nearest", _every_kind(_ENDS["nearest"])))
+@example(("interval shifted", _every_kind(_ENDS["interval shifted"])))
+@given(st.sampled_from(sorted(_WALKED)).flatmap(lambda name: st.tuples(st.just(name), _stretches(_ENDS[name]))))
+def test_values_at_walk_answers_as_call(case):
+    name, ts = case
+    make, window = _WALKED[name]
+    fresh = make(window)
+    assert list(map(repr, make(window).values_at(ts))) == [repr(fresh(t)) for t in ts]
+
+
+def test_values_at_refuses_positions_that_go_down():
+    f = nearest_distance()
+    for ts in ([1.0, 0.5], [0.0, 3.0, 2.999], [0.0, 10.0, 20.0, -5.0]):
+        with pytest.raises(ValueError, match="needs ascending positions"):
+            f.values_at(ts)
+    # equal positions, and -0.0 after 0.0, do not go down
+    assert f.values_at([0.0, -0.0, 1.0, 1.0]) == [f(0.0), f(-0.0), f(1.0), f(1.0)]
+
+
+def test_values_at_reports_a_table_that_misses_a_position():
+    # a rule with no piece on the second half of each tile: the walk stops
+    # where __call__'s bisect does, for the first position of a stretch and
+    # for a later one
+    f = LocalFunction(lambda p, q, tile: [(p, 0.5 * (p + q), 1.0, 0.0)])
+    points = enumerate_model_set(Window.default(), 0.0, 10.0)
+    inside = 0.5 * (points[1].value + points[2].value) - 0.1
+    gap = 0.5 * (points[2].value + points[3].value) + 0.1
+    assert f.values_at([inside]) == [f(inside)] == [1.0]
+    for ts in ([gap], [inside, gap]):
+        with pytest.raises(RuntimeError, match="context coverage too small"):
+            f.values_at(ts)
+    with pytest.raises(RuntimeError, match="context coverage too small"):
+        f(gap)
 
 
 def test_constant_function():
